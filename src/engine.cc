@@ -23,6 +23,7 @@
 #include "opt/inline_functions.h"
 #include "opt/properties.h"
 #include "opt/static_types.h"
+#include "opt/value_join.h"
 #include "query/normalize.h"
 #include "query/parser.h"
 #include "vm/compiler.h"
@@ -532,6 +533,20 @@ Result<std::unique_ptr<CompiledQuery>> XQueryEngine::Compile(
     }
     AnnotateAccessPaths(m->body.get(), peek, options_.force_access_path);
   }
+  // Decorrelate inner FLWOR value joins (hash / band join plans). Part of
+  // optimization: an unoptimized plan keeps every nested loop.
+  if (options.optimize) {
+    IndexPeek peek;
+    if (options_.enable_indexes) {
+      peek = [this](const std::string& uri) {
+        return index_manager_.Peek(uri);
+      };
+    }
+    for (GlobalVariable& g : m->globals) {
+      if (g.init != nullptr) AnnotateValueJoins(g.init.get(), &peek);
+    }
+    AnnotateValueJoins(m->body.get(), &peek);
+  }
   compiled->engine_ = this;
   return compiled;
 }
@@ -631,9 +646,13 @@ void CompiledQuery::AnnotateForExplain() const {
     if (fn.body != nullptr) AnnotateAccessPaths(fn.body.get(), peek, force);
   }
   for (GlobalVariable& g : m->globals) {
-    if (g.init != nullptr) AnnotateAccessPaths(g.init.get(), peek, force);
+    if (g.init != nullptr) {
+      AnnotateAccessPaths(g.init.get(), peek, force);
+      RefreshValueJoinEstimates(g.init.get(), peek);
+    }
   }
   AnnotateAccessPaths(m->body.get(), peek, force);
+  RefreshValueJoinEstimates(m->body.get(), peek);
 }
 
 std::string CompiledQuery::ExplainTree() const {

@@ -17,6 +17,9 @@ namespace xqp {
 class QueryProfile;
 class DocumentIndexes;
 class TagIndex;
+namespace value_join {
+class Cache;
+}  // namespace value_join
 
 /// Supplies documents and collections to fn:doc / fn:collection ("available
 /// documents and collections" of the paper's dynamic context). The engine
@@ -100,6 +103,11 @@ class DynamicContext {
   /// forced strategy that cannot answer a given chain degrades to
   /// navigation (results stay bit-identical across all settings).
   AccessPath force_access_path = AccessPath::kAuto;
+
+  /// Build-once value-join tables of this execution (exec/value_join.h),
+  /// keyed by planned FLWOR; created on the first probe. Never shared
+  /// across executions, so concurrent runs share no join state.
+  std::shared_ptr<value_join::Cache> value_joins;
 
   /// Counters the experiments report (node-id elision, buffer usage).
   struct Stats {

@@ -13,6 +13,7 @@
 #include "exec/constructor.h"
 #include "exec/order_by.h"
 #include "exec/type_match.h"
+#include "exec/value_join.h"
 #include "index/index_planner.h"
 #include "opt/access_path.h"
 
@@ -460,6 +461,20 @@ Result<Sequence> Interpreter::EvalFlwor(const FlworExpr* e) {
     const FlworExpr::Clause& c = e->clauses[ci];
     switch (c.type) {
       case FlworExpr::Clause::Type::kFor: {
+        if (ci == 0 && (e->join == ValueJoinMode::kHash ||
+                        e->join == ValueJoinMode::kBand)) {
+          // Planned value join: bind only the domain items that satisfy
+          // the where (clause 1), straight from the shared join table.
+          value_join::Matches m;
+          XQP_RETURN_NOT_OK(value_join::Probe(*e, ctx_, &m));
+          if (!m.nested_loop) {
+            for (uint32_t pos : m.positions) {
+              ctx_->slots[c.var_slot] = LazySeq::FromItem((*m.domain)[pos]);
+              XQP_RETURN_NOT_OK(run(2, tuple));
+            }
+            return Status::OK();
+          }
+        }
         XQP_ASSIGN_OR_RETURN(Sequence domain, Eval(e->child(ci)));
         for (size_t i = 0; i < domain.size(); ++i) {
           ctx_->slots[c.var_slot] = LazySeq::FromItem(domain[i]);

@@ -2,6 +2,7 @@
 #include "exec/interpreter.h"
 #include "exec/iterators.h"
 #include "exec/profile.h"
+#include "exec/value_join.h"
 
 namespace xqp {
 namespace lazy_internal {
@@ -25,9 +26,17 @@ class NonOwningIt : public ItemIterator {
 /// and delegate to the eager evaluator; everything else streams tuples:
 /// for-domains are pulled one binding at a time and the return expression
 /// is drained per tuple before the machine advances.
+///
+/// Join mode: a FLWOR planned as a value join (opt/value_join.h) asks the
+/// shared runtime for clause 0's matches each time it opens; when the
+/// runtime answers, clause 0 iterates over the matching domain items and
+/// the where (clause 1) is skipped, since every match satisfies it.
 class FlworIt : public ItemIterator {
  public:
-  explicit FlworIt(const FlworExpr* e) : e_(e) {}
+  explicit FlworIt(const FlworExpr* e)
+      : e_(e),
+        planned_join_(e->join == ValueJoinMode::kHash ||
+                      e->join == ValueJoinMode::kBand) {}
 
   Status Init(const LazyFocus* focus) {
     for (const auto& c : e_->clauses) {
@@ -51,6 +60,7 @@ class FlworIt : public ItemIterator {
       return Status::OK();
     }
     for_pos_.assign(e_->clauses.size(), 0);
+    joined_ = false;
     tuple_open_ = false;
     machine_done_ = false;
     first_tuple_ = true;
@@ -160,9 +170,22 @@ class FlworIt : public ItemIterator {
           break;
         }
         case FlworExpr::Clause::Type::kFor: {
-          XQP_RETURN_NOT_OK(children_[i]->Reset(ctx_));
           for_pos_[i] = 0;
+          if (i == 0 && planned_join_) {
+            XQP_RETURN_NOT_OK(value_join::Probe(*e_, ctx_, &join_));
+            joined_ = !join_.nested_loop;
+            join_next_ = 0;
+          }
           Item item;
+          if (i == 0 && joined_) {
+            if (NextJoinMatch(&item)) {
+              BindFor(0, std::move(item));
+              i = 2;  // Every match satisfies the where.
+              break;
+            }
+            return false;
+          }
+          XQP_RETURN_NOT_OK(children_[i]->Reset(ctx_));
           XQP_ASSIGN_OR_RETURN(bool got, children_[i]->Next(&item));
           if (got) {
             BindFor(i, std::move(item));
@@ -188,6 +211,12 @@ class FlworIt : public ItemIterator {
     for (size_t j = limit; j-- > 0;) {
       if (e_->clauses[j].type != FlworExpr::Clause::Type::kFor) continue;
       Item item;
+      if (j == 0 && joined_) {
+        if (!NextJoinMatch(&item)) return false;
+        BindFor(0, std::move(item));
+        *resume = 2;
+        return true;
+      }
       XQP_ASSIGN_OR_RETURN(bool got, children_[j]->Next(&item));
       if (got) {
         BindFor(j, std::move(item));
@@ -196,6 +225,12 @@ class FlworIt : public ItemIterator {
       }
     }
     return false;
+  }
+
+  bool NextJoinMatch(Item* out) {
+    if (join_next_ >= join_.positions.size()) return false;
+    *out = (*join_.domain)[join_.positions[join_next_++]];
+    return true;
   }
 
   void BindFor(size_t i, Item item) {
@@ -209,9 +244,14 @@ class FlworIt : public ItemIterator {
   }
 
   const FlworExpr* e_;
+  const bool planned_join_;
   std::vector<std::unique_ptr<ItemIterator>> children_;
   DynamicContext* ctx_ = nullptr;
   bool has_order_ = false;
+  // Join mode: this opening's matches, when the runtime answered.
+  value_join::Matches join_;
+  bool joined_ = false;
+  size_t join_next_ = 0;
   // Streaming state.
   std::vector<int64_t> for_pos_;
   bool tuple_open_ = false;

@@ -159,8 +159,14 @@ std::string OperatorLabel(const Expr& e) {
     }
     case ExprKind::kFilter:
       return "filter";
-    case ExprKind::kFlwor:
-      return "flwor";
+    case ExprKind::kFlwor: {
+      // Value-join decorrelation (opt/value_join.h): the mode the backends
+      // run and the synopsis estimate of the inner domain.
+      const auto& f = static_cast<const FlworExpr&>(e);
+      if (f.join == ValueJoinMode::kNone) return "flwor";
+      return std::string("flwor [join: ") + ValueJoinModeName(f.join) +
+             ", est=" + std::to_string(f.join_est) + "]";
+    }
     case ExprKind::kQuantified:
       return static_cast<const QuantifiedExpr&>(e).is_every ? "every" : "some";
     case ExprKind::kIf:

@@ -359,6 +359,16 @@ std::string FilterExpr::ToString() const {
   return "(filter" + ChildrenToString() + ")";
 }
 
+const char* ValueJoinModeName(ValueJoinMode mode) {
+  switch (mode) {
+    case ValueJoinMode::kNone: return "-";
+    case ValueJoinMode::kNestedLoop: return "nl";
+    case ValueJoinMode::kHash: return "hash";
+    case ValueJoinMode::kBand: return "band";
+  }
+  return "?";
+}
+
 std::unique_ptr<Expr> FlworExpr::Clone() const {
   auto e = std::make_unique<FlworExpr>();
   e->clauses = clauses;

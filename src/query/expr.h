@@ -397,6 +397,16 @@ class FilterExpr : public Expr {
   std::string ToString() const override;
 };
 
+/// Value-join decorrelation of a FLWOR (opt/value_join.h). kNone: not a
+/// correlated value join. kNestedLoop: join-shaped, but a shape rule keeps
+/// it a nested loop (EXPLAIN-only). kHash / kBand: an equality / range
+/// join the backends answer from one build-once table per execution
+/// (exec/value_join.h) instead of re-running the where for every pair.
+enum class ValueJoinMode : uint8_t { kNone, kNestedLoop, kHash, kBand };
+
+/// "-" / "nl" / "hash" / "band".
+const char* ValueJoinModeName(ValueJoinMode mode);
+
 /// FLWOR. Clause i's expression is child i; the return expression is the
 /// last child. Order-by keys appear as kOrderSpec clauses.
 class FlworExpr : public Expr {
@@ -423,6 +433,18 @@ class FlworExpr : public Expr {
   size_t NumClauses() const { return clauses.size(); }
 
   std::vector<Clause> clauses;
+
+  /// Decorrelation plan, set by AnnotateValueJoins after analysis. A
+  /// planned FLWOR starts `for $v in D where A op B`: clause 0 is the for,
+  /// clause 1 the where (child 1, a ComparisonExpr), and operand
+  /// `join_inner_operand` of that comparison is the inner key (the side
+  /// that depends on $v only). Clone() does not copy the plan: it is only
+  /// valid for the scope the pass analyzed.
+  ValueJoinMode join = ValueJoinMode::kNone;
+  uint8_t join_inner_operand = 0;
+  /// EXPLAIN-only: synopsis estimate of |D| when the indexes are warm, 0
+  /// otherwise. Refreshed at explain time; execution never reads it.
+  uint64_t join_est = 0;
 };
 
 /// some/every $v1 in E1, ... satisfies E. Binding i's domain is child i;

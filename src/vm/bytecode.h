@@ -49,7 +49,9 @@ enum class Op : uint8_t {
                      //   (-1: none). Advances the iterator; at end jumps to
                      //   b, else binds the item into register c. flag&1:
                      //   mirror the binding into ctx->slots[c]. Polls the
-                     //   governor (every loop back-edge lands here).
+                     //   governor (every loop back-edge lands here). An
+                     //   iterator loaded by kValueJoin then jumps past its
+                     //   FLWOR's where instead of falling into it.
   kBindPos,          // a = iterator register, b = pos slot; bind the 1-based
                      //   position ("at $p"). flag&1: mirror.
   kAccumNew,         // Open a result accumulator.
@@ -99,6 +101,14 @@ enum class Op : uint8_t {
                      //   by its typed keys (ascending/descending, empty
                      //   greatest/least) and push the concatenated results
                      //   in sorted tuple order.
+  kValueJoin,        // a = join-plan index, b = loop pc (the for's
+                     //   iter-next), c = iterator register. Probe the shared
+                     //   value-join runtime (exec/value_join.h) for the
+                     //   planned FLWOR: when it answers, load the matching
+                     //   domain items into iterator c, arm its where-skip
+                     //   (kIterNext then jumps past the where to the plan's
+                     //   body pc) and jump to b; otherwise fall through to
+                     //   the ordinary domain + nested-loop code.
   kBailout,          // a = thunk index; run the referenced expression on the
                      //   lazy engine and push its result.
   kPop,              // Pop and discard.
@@ -164,6 +174,15 @@ struct Program {
     std::vector<flwor::OrderSpecFlags> specs;
   };
   std::vector<SortPlan> sorts;
+
+  /// A FLWOR planned as a value join (FlworExpr::join is kHash/kBand),
+  /// referenced by kValueJoin. `body_pc` is the first instruction after
+  /// the lowered where (clause 1), where joined iterations resume.
+  struct JoinPlan {
+    const FlworExpr* flwor = nullptr;
+    int32_t body_pc = 0;
+  };
+  std::vector<JoinPlan> joins;
 
   /// Expressions synthesized during lowering (e.g. the navigation twin of
   /// an index-probed predicate chain, run as a thunk when the probe

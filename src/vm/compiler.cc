@@ -54,6 +54,7 @@ std::string_view OpName(Op op) {
     case Op::kSortKey: return "sort-key";
     case Op::kSortAdd: return "sort-add";
     case Op::kSortTuples: return "sort-tuples";
+    case Op::kValueJoin: return "value-join";
     case Op::kBailout: return "bailout";
     case Op::kPop: return "pop";
     case Op::kHalt: return "halt";
@@ -459,6 +460,16 @@ class Compiler {
   /// domain code, so inner domains are re-evaluated per outer tuple —
   /// exactly the interpreter's recursive tuple stream.
   ///
+  /// A FLWOR planned as a value join starts with value-join ahead of its
+  /// first domain:
+  ///   value-join -> L0 (matches loaded)   | falls through otherwise
+  ///   <domain 0> iter-new 0
+  ///   L0: iter-next 0 -> END              (joined: jumps to BODY)
+  ///     <where> jump-if-false L0
+  ///   BODY: ...
+  /// so the nested loop stays the fallback whenever the shared runtime
+  /// declines a probe.
+  ///
   /// With order-by clauses the accumulator becomes a sort buffer: sort-open
   /// replaces accum-new, each order-spec clause compiles its key expression
   /// at clause position followed by sort-key (positional assignment, so
@@ -487,17 +498,28 @@ class Compiler {
     int key_index = 0;
     std::vector<int> loop_pcs;    // kIterNext pcs, outermost first.
     std::vector<int> end_patches; // where-fails with no enclosing for.
+    int join_plan = -1;
+    if (e.join == ValueJoinMode::kHash || e.join == ValueJoinMode::kBand) {
+      join_plan = static_cast<int>(p_->joins.size());
+      p_->joins.push_back({&e, 0});
+    }
     for (size_t ci = 0; ci < e.clauses.size(); ++ci) {
       const FlworExpr::Clause& c = e.clauses[ci];
       switch (c.type) {
         case FlworExpr::Clause::Type::kFor: {
+          int iter = iter_depth_;
+          int join_pc = -1;
+          if (ci == 0 && join_plan >= 0) {
+            join_pc = Emit(Op::kValueJoin, 0, join_plan, 0, iter);
+          }
           Compile(*e.child(ci));
-          int iter = iter_depth_++;
+          ++iter_depth_;
           ++iters_entered;
           p_->num_iters = std::max(p_->num_iters, iter_depth_);
           Emit(Op::kIterNew, 0, iter);
           Pop();
           loop_pcs.push_back(Emit(Op::kIterNext, 0, iter, 0, c.var_slot));
+          if (join_pc >= 0) p_->code[size_t(join_pc)].b = loop_pcs.back();
           bound_.push_back(c.var_slot);
           if (c.pos_slot >= 0) {
             Emit(Op::kBindPos, 0, iter, c.pos_slot);
@@ -519,6 +541,9 @@ class Compiler {
             end_patches.push_back(j);  // No tuple loop: skip to the end.
           } else {
             PatchTarget(j, loop_pcs.back());
+          }
+          if (ci == 1 && join_plan >= 0) {
+            p_->joins[size_t(join_plan)].body_pc = Here();
           }
           break;
         }
@@ -595,8 +620,9 @@ class Compiler {
   // ---- dual-store patching ----
 
   /// Compiled bindings live in VM registers only; slots that some bailout
-  /// thunk reads are additionally mirrored into ctx->slots at binding time
-  /// (flag bit 0 on kStoreLocal / kIterNext / kBindPos). Mirroring every
+  /// thunk (or a value-join plan) reads are additionally mirrored into
+  /// ctx->slots at binding time (flag bit 0 on kStoreLocal / kIterNext /
+  /// kBindPos). Mirroring every
   /// slot a thunk mentions — including ones the thunk rebinds internally —
   /// is deliberate: slot reuse across disjoint scopes makes subtracting
   /// thunk-internal binders unsafe, and over-mirroring is harmless.
@@ -604,6 +630,12 @@ class Compiler {
     std::vector<int> used;
     for (const Program::Thunk& t : p_->thunks) {
       CollectUsedSlots(t.expr, &used);
+    }
+    // The value-join runtime evaluates a planned FLWOR's domain and where
+    // operands on the reference evaluator, which reads ctx->slots.
+    for (const Program::JoinPlan& j : p_->joins) {
+      CollectUsedSlots(j.flwor->child(0), &used);
+      CollectUsedSlots(j.flwor->child(1), &used);
     }
     if (used.empty()) return;
     std::unordered_set<int> mirror(used.begin(), used.end());

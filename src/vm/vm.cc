@@ -18,6 +18,7 @@
 #include "exec/item.h"
 #include "exec/iterators.h"
 #include "exec/order_by.h"
+#include "exec/value_join.h"
 #include "opt/access_path.h"
 
 // Dispatch strategy: jump-threaded computed goto on GCC/Clang (each handler
@@ -112,10 +113,95 @@ class Vm {
     return Status::OK();
   }
 
+  // Slow paths of the operator handlers. They live out of line because a
+  // computed-goto dispatch (VM_NEXT) does not run destructors for locals
+  // still in scope in the handler: any heap-owning temporary there leaks
+  // once per executed instruction. Each helper's locals die at its return;
+  // the atomization scratch is reused Vm state.
+
+  /// Generic arithmetic on stack cells: writes the result into *lhs.
+  Status SlowArith(ArithOp op, Sequence* lhs, const Sequence& rhs) {
+    XQP_ASSIGN_OR_RETURN(
+        *lhs, EvalArithmetic(op, AtomizeView(*lhs, &lhs_atoms_),
+                             AtomizeView(rhs, &rhs_atoms_)));
+    return Status::OK();
+  }
+
+  Status SlowUnary(bool negate, Sequence* operand) {
+    XQP_ASSIGN_OR_RETURN(*operand,
+                         EvalUnary(negate, AtomizeView(*operand, &lhs_atoms_)));
+    return Status::OK();
+  }
+
+  Status SlowValueCmp(CompOp op, Sequence* lhs, const Sequence& rhs) {
+    XQP_ASSIGN_OR_RETURN(
+        *lhs, EvalValueComparison(op, AtomizeView(*lhs, &lhs_atoms_),
+                                  AtomizeView(rhs, &rhs_atoms_)));
+    return Status::OK();
+  }
+
+  Result<bool> SlowGeneralCmp(CompOp op, const Sequence& lhs,
+                              const Sequence& rhs) {
+    return EvalGeneralComparison(op, AtomizeView(lhs, &lhs_atoms_),
+                                 AtomizeView(rhs, &rhs_atoms_));
+  }
+
+  /// kConstructElem / kConstructAttr: pops the insn's `b` children (the
+  /// computed name first, when the plan has one) and pushes the node.
+  Status ConstructNamed(const Insn& insn, Sequence* stack, size_t* sp) {
+    const bool is_elem = insn.op == Op::kConstructElem;
+    const Expr* ce = p_.ctors[size_t(insn.a)].expr;
+    size_t n = size_t(insn.b);
+    Sequence* children = stack + (*sp - n);
+    const bool computed = is_elem
+        ? static_cast<const ElementCtorExpr*>(ce)->computed_name
+        : static_cast<const AttributeCtorExpr*>(ce)->computed_name;
+    QName name = is_elem ? static_cast<const ElementCtorExpr*>(ce)->name
+                         : static_cast<const AttributeCtorExpr*>(ce)->name;
+    size_t start = 0;
+    if (computed) {
+      XQP_ASSIGN_OR_RETURN(name, ComputedName(children[0]));
+      start = 1;
+    }
+    parts_.clear();
+    for (size_t i = start; i < n; ++i) {
+      parts_.push_back(std::move(children[i]));
+    }
+    XQP_ASSIGN_OR_RETURN(
+        Item built,
+        is_elem ? construct::Element(
+                      name, static_cast<const ElementCtorExpr*>(ce)->ns_decls,
+                      parts_, ctx_)
+                : construct::Attribute(name, parts_, ctx_));
+    *sp -= n;
+    Sequence& dst = stack[(*sp)++];
+    dst.clear();
+    dst.push_back(std::move(built));
+    return Status::OK();
+  }
+
   struct IterState {
     Sequence domain;
     size_t pos = 0;
+    /// Set by kValueJoin: each binding jumps here, past the where that
+    /// every joined item already satisfies. -1 for ordinary loops.
+    int32_t skip_to = -1;
   };
+
+  /// kValueJoin: probes the shared join runtime; on an answer loads the
+  /// matching domain items into `it` and returns true.
+  Result<bool> ValueJoin(const Insn& insn, IterState* it) {
+    const Program::JoinPlan& plan = p_.joins[size_t(insn.a)];
+    XQP_RETURN_NOT_OK(value_join::Probe(*plan.flwor, ctx_, &join_));
+    if (join_.nested_loop) return false;
+    it->domain.clear();
+    for (uint32_t pos : join_.positions) {
+      it->domain.push_back((*join_.domain)[pos]);
+    }
+    it->pos = 0;
+    it->skip_to = plan.body_pc;
+    return true;
+  }
 
   /// One open order-by buffer: the tuples gathered so far and the current
   /// key cells (one per order spec, positionally assigned by kSortKey).
@@ -138,6 +224,9 @@ class Vm {
   size_t ssize_ = 0;
   std::vector<Sequence> args_;
   std::vector<Sequence> parts_;  // Scratch for the construct opcodes.
+  Sequence lhs_atoms_;           // Atomization scratch for the slow paths.
+  Sequence rhs_atoms_;
+  value_join::Matches join_;     // Scratch for kValueJoin probes.
   std::vector<std::unique_ptr<ItemIterator>> thunk_iters_;
   std::vector<uint64_t> thunk_hits_;
   uint64_t retired_ = 0;
@@ -206,7 +295,8 @@ Result<Sequence> Vm::Run() {
       &&lbl_kConstructElem, &&lbl_kConstructAttr, &&lbl_kConstructText,
       &&lbl_kConstructNode, &&lbl_kPushRoot,  &&lbl_kSortOpen,
       &&lbl_kSortKey,     &&lbl_kSortAdd,     &&lbl_kSortTuples,
-      &&lbl_kBailout,     &&lbl_kPop,         &&lbl_kHalt,
+      &&lbl_kValueJoin,   &&lbl_kBailout,     &&lbl_kPop,
+      &&lbl_kHalt,
   };
 #endif
 
@@ -369,20 +459,13 @@ Result<Sequence> Vm::Run() {
         VM_NEXT();
       }
     }
-    Sequence s1, s2;
-    auto r = EvalArithmetic(op, AtomizeView(lhs, &s1), AtomizeView(rhs, &s2));
-    if (!r.ok()) return r.status();
+    XQP_RETURN_NOT_OK(SlowArith(op, &lhs, rhs));
     --sp;
-    stack[sp - 1] = std::move(r).value();
     VM_NEXT();
   }
 
   VM_CASE(kUnary) : {
-    Sequence& s = stack[sp - 1];
-    Sequence scratch;
-    auto r = EvalUnary(ip->flag != 0, AtomizeView(s, &scratch));
-    if (!r.ok()) return r.status();
-    stack[sp - 1] = std::move(r).value();
+    XQP_RETURN_NOT_OK(SlowUnary(ip->flag != 0, &stack[sp - 1]));
     VM_NEXT();
   }
 
@@ -400,12 +483,8 @@ Result<Sequence> Vm::Run() {
       --sp;
       VM_NEXT();
     }
-    Sequence s1, s2;
-    auto r =
-        EvalValueComparison(op, AtomizeView(lhs, &s1), AtomizeView(rhs, &s2));
-    if (!r.ok()) return r.status();
+    XQP_RETURN_NOT_OK(SlowValueCmp(op, &lhs, rhs));
     --sp;
-    stack[sp - 1] = std::move(r).value();
     VM_NEXT();
   }
 
@@ -420,11 +499,7 @@ Result<Sequence> Vm::Run() {
         rhs[0].AsAtomic().type() == XsType::kInteger) {
       b = IntCmp(op, lhs[0].AsAtomic().AsInt(), rhs[0].AsAtomic().AsInt());
     } else {
-      Sequence s1, s2;
-      auto r = EvalGeneralComparison(op, AtomizeView(lhs, &s1),
-                                     AtomizeView(rhs, &s2));
-      if (!r.ok()) return r.status();
-      b = r.value();
+      XQP_ASSIGN_OR_RETURN(b, SlowGeneralCmp(op, lhs, rhs));
     }
     --sp;
     Sequence& dst = stack[sp - 1];
@@ -489,6 +564,7 @@ Result<Sequence> Vm::Run() {
     IterState& it = iters[size_t(ip->a)];
     it.domain = std::move(stack[--sp]);
     it.pos = 0;
+    it.skip_to = -1;
     VM_NEXT();
   }
 
@@ -506,6 +582,7 @@ Result<Sequence> Vm::Run() {
         ctx_->slots[size_t(ip->c)] = LazySeq::FromItem(item);
       }
     }
+    if (it.skip_to >= 0) VM_GOTO(it.skip_to);
     VM_NEXT();
   }
 
@@ -614,36 +691,7 @@ Result<Sequence> Vm::Run() {
     // DocumentBuilder's byte charges (ChargeNode via the thread-local
     // governor), whitespace joining, namespace handling, and error strings
     // are identical to both interpreters.
-    const bool is_elem = ip->op == Op::kConstructElem;
-    const Expr* ce = p_.ctors[size_t(ip->a)].expr;
-    size_t n = size_t(ip->b);
-    Sequence* children = stack + (sp - n);
-    const bool computed = is_elem
-        ? static_cast<const ElementCtorExpr*>(ce)->computed_name
-        : static_cast<const AttributeCtorExpr*>(ce)->computed_name;
-    QName name = is_elem ? static_cast<const ElementCtorExpr*>(ce)->name
-                         : static_cast<const AttributeCtorExpr*>(ce)->name;
-    size_t start = 0;
-    if (computed) {
-      auto named = ComputedName(children[0]);
-      if (!named.ok()) return named.status();
-      name = std::move(named).value();
-      start = 1;
-    }
-    parts_.clear();
-    for (size_t i = start; i < n; ++i) {
-      parts_.push_back(std::move(children[i]));
-    }
-    auto built = is_elem
-        ? construct::Element(
-              name, static_cast<const ElementCtorExpr*>(ce)->ns_decls,
-              parts_, ctx_)
-        : construct::Attribute(name, parts_, ctx_);
-    if (!built.ok()) return built.status();
-    sp -= n;
-    Sequence& dst = stack[sp++];
-    dst.clear();
-    dst.push_back(std::move(built).value());
+    XQP_RETURN_NOT_OK(ConstructNamed(*ip, stack, &sp));
     VM_NEXT();
   }
 
@@ -731,6 +779,13 @@ Result<Sequence> Vm::Run() {
     }
     --ssize_;
     stack[sp++] = std::move(out);
+    VM_NEXT();
+  }
+
+  VM_CASE(kValueJoin) : {
+    bool joined = false;
+    XQP_ASSIGN_OR_RETURN(joined, ValueJoin(*ip, &iters[size_t(ip->c)]));
+    if (joined) VM_GOTO(ip->b);
     VM_NEXT();
   }
 

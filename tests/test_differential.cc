@@ -3,9 +3,12 @@
 // lazy streaming engine, optimized and not. The XMark suite below adds
 // ExecuteBatchParallel to the cross-check and asserts the profile
 // invariant (plan-root item count == result cardinality) on every
-// generated query.
+// generated query. The value-join suite checks decorrelated FLWOR joins
+// against a brute-force oracle and the nested-loop plan.
 
+#include <cmath>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -13,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "base/fault.h"
+#include "base/metrics.h"
 #include "engine.h"
 #include "storage/snapshot.h"
 #include "tests/test_util.h"
@@ -376,6 +380,405 @@ TEST_P(XMarkDifferentialTest, EnginesBatchAndProfileAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XMarkDifferentialTest,
                          ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
+
+// --- Value-join differential suite ----------------------------------------
+//
+// Random correlated inner FLWORs `for $i in D where A op B` under an outer
+// loop — the shapes the decorrelation pass plans as hash or band joins —
+// checked on every backend (and the snapshot twin) against two
+// references: a brute-force nested loop over the generator's own key
+// lists, written here with the general-comparison rules spelled out, and
+// the same query compiled with optimize=false (which never decorrelates).
+
+/// One pool entry for a <k> key element's text.
+struct KeyText {
+  const char* text;
+  bool is_int;  // xs:integer() accepts it.
+};
+
+constexpr KeyText kKeyPool[] = {
+    {"1", true},   {"2", true},    {"3", true},  {"5", true},
+    {"7", true},   {"10", true},   {"-2", true}, {"0", true},
+    {"-0", true},  {" 3 ", true},  {"2.5", false}, {"NaN", false},
+    {"INF", false}, {"9007199254740992", true},
+    {"9007199254740993", true},   {"abc", false}, {"b", false},
+    {"B", false},  {"", false}};
+
+/// A generated document: outer <o> and inner <i> elements, each with zero
+/// to three <k> children drawn from kKeyPool; some inner elements carry
+/// @dup (they appear twice in the duplicated domain shape).
+struct JoinCorpus {
+  std::string xml;
+  std::vector<std::vector<KeyText>> outer_keys;
+  std::vector<std::vector<KeyText>> inner_keys;
+  std::vector<bool> inner_dup;
+};
+
+JoinCorpus MakeJoinCorpus(SplitMix64* rng, bool numeric_only) {
+  JoinCorpus c;
+  auto keys = [&] {
+    std::vector<KeyText> out;
+    size_t n = rng->Below(4);
+    for (size_t j = 0; j < n; ++j) {
+      // Numeric-only corpora keep every untyped key castable, so numeric
+      // probes take the table path instead of the error fallback.
+      size_t limit = numeric_only ? 15 : std::size(kKeyPool);
+      const KeyText& k = kKeyPool[rng->Below(limit)];
+      if (numeric_only && std::string_view(k.text) == "NaN") continue;
+      out.push_back(k);
+    }
+    return out;
+  };
+  auto element = [&](const char* tag, size_t n,
+                     const std::vector<KeyText>& ks, bool dup) {
+    std::string e = std::string("<") + tag + " n=\"" + std::to_string(n) +
+                    "\"" + (dup ? " dup=\"1\"" : "") + ">";
+    for (const KeyText& k : ks) {
+      e += std::string("<k") + (k.is_int ? " int=\"1\"" : "") + ">" + k.text +
+           "</k>";
+    }
+    return e + "</" + tag + ">";
+  };
+  c.xml = "<r>";
+  size_t outers = 3 + rng->Below(8);
+  size_t inners = 4 + rng->Below(12);
+  for (size_t n = 0; n < outers; ++n) {
+    c.outer_keys.push_back(keys());
+    c.xml += element("o", n, c.outer_keys.back(), false);
+  }
+  for (size_t n = 0; n < inners; ++n) {
+    c.inner_keys.push_back(keys());
+    c.inner_dup.push_back(rng->Below(3) == 0);
+    c.xml += element("i", n, c.inner_keys.back(), c.inner_dup.back());
+  }
+  c.xml += "</r>";
+  return c;
+}
+
+/// An atomized key as the comparison sees it.
+struct JoinKey {
+  enum Kind { kUntyped, kString, kDouble, kInteger } kind;
+  std::string s;
+  double d = 0;
+  int64_t i = 0;
+};
+
+/// Key expression shapes over a variable: the untyped nodes themselves,
+/// number() of each (NaN for non-numeric text), string() of each, and
+/// xs:integer() of the integer-valued ones.
+enum class KeyShape { kUntyped, kNumber, kString, kInteger };
+
+std::string KeyExpr(KeyShape shape, const std::string& var) {
+  switch (shape) {
+    case KeyShape::kUntyped:
+      return var + "/k";
+    case KeyShape::kNumber:
+      return "(for $y in " + var + "/k return number($y))";
+    case KeyShape::kString:
+      return "(for $y in " + var + "/k return string($y))";
+    case KeyShape::kInteger:
+      return "(for $y in " + var + "/k[@int] return xs:integer($y))";
+  }
+  return "";
+}
+
+std::vector<JoinKey> KeyValues(KeyShape shape,
+                               const std::vector<KeyText>& texts) {
+  std::vector<JoinKey> out;
+  for (const KeyText& t : texts) {
+    JoinKey k;
+    switch (shape) {
+      case KeyShape::kUntyped:
+        k.kind = JoinKey::kUntyped;
+        k.s = t.text;
+        break;
+      case KeyShape::kString:
+        k.kind = JoinKey::kString;
+        k.s = t.text;
+        break;
+      case KeyShape::kNumber: {
+        k.kind = JoinKey::kDouble;
+        Result<double> d = ParseXsDouble(t.text);
+        k.d = d.ok() ? d.value() : std::nan("");
+        break;
+      }
+      case KeyShape::kInteger: {
+        if (!t.is_int) continue;
+        k.kind = JoinKey::kInteger;
+        k.i = ParseXsInteger(t.text).ValueOrDie();
+        break;
+      }
+    }
+    out.push_back(std::move(k));
+  }
+  return out;
+}
+
+/// Brute-force general comparison of one pair: nullopt when the pair
+/// raises a type error (uncastable untyped vs number, string vs number),
+/// else whether `a op b` holds. NaN never satisfies =, <, <=, >, >=.
+std::optional<bool> OraclePair(const JoinKey& a, const JoinKey& b,
+                               const std::string& op) {
+  auto numeric = [](const JoinKey& k) {
+    return k.kind == JoinKey::kDouble || k.kind == JoinKey::kInteger;
+  };
+  auto as_double = [](const JoinKey& k) {
+    return k.kind == JoinKey::kInteger ? double(k.i) : k.d;
+  };
+  int cmp = 0;  // -1 / 0 / 1; 2 = unordered (NaN).
+  if (a.kind == JoinKey::kUntyped || b.kind == JoinKey::kUntyped) {
+    const JoinKey& u = a.kind == JoinKey::kUntyped ? a : b;
+    const JoinKey& other = a.kind == JoinKey::kUntyped ? b : a;
+    if (numeric(other)) {
+      Result<double> cast = ParseXsDouble(u.s);
+      if (!cast.ok()) return std::nullopt;
+      double x = a.kind == JoinKey::kUntyped ? cast.value() : as_double(a);
+      double y = a.kind == JoinKey::kUntyped ? as_double(b) : cast.value();
+      cmp = std::isnan(x) || std::isnan(y) ? 2 : x < y ? -1 : x > y ? 1 : 0;
+    } else {
+      cmp = a.s < b.s ? -1 : a.s > b.s ? 1 : 0;
+    }
+  } else if (numeric(a) && numeric(b)) {
+    if (a.kind == JoinKey::kInteger && b.kind == JoinKey::kInteger) {
+      cmp = a.i < b.i ? -1 : a.i > b.i ? 1 : 0;
+    } else {
+      double x = as_double(a);
+      double y = as_double(b);
+      cmp = std::isnan(x) || std::isnan(y) ? 2 : x < y ? -1 : x > y ? 1 : 0;
+    }
+  } else if (!numeric(a) && !numeric(b)) {
+    cmp = a.s < b.s ? -1 : a.s > b.s ? 1 : 0;
+  } else {
+    return std::nullopt;  // xs:string vs a number.
+  }
+  if (cmp == 2) return false;
+  if (op == "=") return cmp == 0;
+  if (op == "<") return cmp < 0;
+  if (op == "<=") return cmp <= 0;
+  if (op == ">") return cmp > 0;
+  return cmp >= 0;
+}
+
+enum class DomainShape { kAll, kDuplicated, kEmpty };
+
+struct JoinCase {
+  std::string query;
+  std::optional<std::string> oracle;  // nullopt: the query raises.
+};
+
+JoinCase RandomJoinCase(SplitMix64* rng, const JoinCorpus& c) {
+  static constexpr const char* kOps[] = {"=", "<", "<=", ">", ">="};
+  constexpr KeyShape kShapes[] = {KeyShape::kUntyped, KeyShape::kNumber,
+                                  KeyShape::kString, KeyShape::kInteger};
+  const std::string op = kOps[rng->Below(5)];
+  const KeyShape inner_shape = kShapes[rng->Below(4)];
+  const KeyShape probe_shape = kShapes[rng->Below(4)];
+  const bool inner_lhs = rng->Below(2) == 0;
+  const uint64_t pick = rng->Below(8);
+  const DomainShape domain = pick < 4   ? DomainShape::kAll
+                             : pick < 7 ? DomainShape::kDuplicated
+                                        : DomainShape::kEmpty;
+  std::string d;
+  std::vector<size_t> order;  // Inner elements in domain order.
+  for (size_t n = 0; n < c.inner_keys.size(); ++n) order.push_back(n);
+  switch (domain) {
+    case DomainShape::kAll:
+      d = "doc('j.xml')/r/i";
+      break;
+    case DomainShape::kDuplicated:
+      d = "(doc('j.xml')/r/i, doc('j.xml')/r/i[@dup])";
+      for (size_t n = 0; n < c.inner_keys.size(); ++n) {
+        if (c.inner_dup[n]) order.push_back(n);
+      }
+      break;
+    case DomainShape::kEmpty:
+      d = "doc('j.xml')/r/none";
+      order.clear();
+      break;
+  }
+  std::string inner = KeyExpr(inner_shape, "$i");
+  std::string probe = KeyExpr(probe_shape, "$o");
+  std::string where = inner_lhs ? inner + " " + op + " " + probe
+                                : probe + " " + op + " " + inner;
+  JoinCase out;
+  out.query = "for $o in doc('j.xml')/r/o return <m>{concat('[', "
+              "string-join(for $i in " + d + " where " + where +
+              " return string($i/@n), ','), ']')}</m>";
+
+  std::string want;
+  for (const std::vector<KeyText>& outer : c.outer_keys) {
+    std::vector<JoinKey> probe_keys = KeyValues(probe_shape, outer);
+    std::string hits;
+    for (size_t n : order) {
+      std::vector<JoinKey> inner_keys = KeyValues(inner_shape, c.inner_keys[n]);
+      const std::vector<JoinKey>& lhs = inner_lhs ? inner_keys : probe_keys;
+      const std::vector<JoinKey>& rhs = inner_lhs ? probe_keys : inner_keys;
+      bool matched = false;
+      for (const JoinKey& a : lhs) {
+        for (const JoinKey& b : rhs) {
+          std::optional<bool> r = OraclePair(a, b, op);
+          if (!r.has_value()) return out;  // The nested loop raises.
+          if (*r) {
+            matched = true;
+            break;
+          }
+        }
+        if (matched) break;
+      }
+      if (matched) hits += (hits.empty() ? "" : ",") + std::to_string(n);
+    }
+    want += "<m>[" + hits + "]</m>";
+  }
+  out.oracle = want;
+  return out;
+}
+
+class ValueJoinDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ValueJoinDifferentialTest, BackendsMatchOracleAndNestedLoop) {
+  SplitMix64 rng(GetParam() * 104729 + 3);
+  JoinCorpus corpus = MakeJoinCorpus(&rng, /*numeric_only=*/GetParam() % 2);
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("j.xml", corpus.xml).status());
+
+  // Snapshot twin of the same document (indexes included).
+  std::string snap_path = ::testing::TempDir() + "/xqp_join_" +
+                          std::to_string(GetParam()) + ".xqps";
+  {
+    auto doc = Document::Parse(corpus.xml).ValueOrDie();
+    auto indexes = DocumentIndexes::Build(doc, kIndexValueAll).ValueOrDie();
+    storage::SnapshotInput input;
+    input.doc = doc.get();
+    input.indexes = indexes.get();
+    XQP_ASSERT_OK(storage::WriteSnapshotFile(snap_path, input));
+  }
+  XQueryEngine snapped;
+  XQP_ASSERT_OK(snapped.LoadDocumentSnapshot("j.xml", snap_path).status());
+
+  XQueryEngine::CompileOptions no_opt;
+  no_opt.optimize = false;
+  std::vector<CompiledQuery::ExecOptions> backends(3);
+  backends[0].backend = ExecBackend::kLazy;
+  backends[1].backend = ExecBackend::kEager;
+  backends[2].backend = ExecBackend::kVm;
+
+  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  const bool metrics_were_on = registry.enabled();
+  registry.set_enabled(true);
+  const metrics::MetricsSnapshot before = registry.Snapshot();
+  int planned = 0;
+  for (int q = 0; q < 24; ++q) {
+    JoinCase jc = RandomJoinCase(&rng, corpus);
+    const std::string& query = jc.query;
+    auto reference = engine.Compile(query, no_opt);
+    ASSERT_TRUE(reference.ok()) << query << ": "
+                                << reference.status().ToString();
+    auto ref = reference.value()->ExecuteToXml(backends[1]);
+    // Reference 1: the brute-force nested loop over the key lists.
+    ASSERT_EQ(ref.ok(), jc.oracle.has_value())
+        << query << "\n" << corpus.xml << "\n"
+        << (ref.ok() ? ref.value() : ref.status().ToString());
+    if (ref.ok()) {
+      ASSERT_EQ(ref.value(), *jc.oracle) << query;
+    }
+
+    auto optimized = engine.Compile(query);
+    ASSERT_TRUE(optimized.ok()) << query;
+    if (optimized.value()->ExplainTree().find("[join: hash") !=
+            std::string::npos ||
+        optimized.value()->ExplainTree().find("[join: band") !=
+            std::string::npos) {
+      ++planned;
+    }
+    auto snap = snapped.Compile(query);
+    ASSERT_TRUE(snap.ok()) << query;
+    for (const CompiledQuery::ExecOptions& exec : backends) {
+      // Reference 2: the unoptimized plan, on every backend.
+      for (const CompiledQuery* plan :
+           {optimized.value().get(), snap.value().get(),
+            reference.value().get()}) {
+        // Twice: the first probe of an execution runs the nested loop,
+        // later ones the table; every execution starts cold.
+        for (int rep = 0; rep < 2; ++rep) {
+          auto got = plan->ExecuteToXml(exec);
+          ASSERT_EQ(got.ok(), ref.ok()) << query;
+          if (ref.ok()) {
+            EXPECT_EQ(got.value(), ref.value()) << query;
+          } else {
+            EXPECT_EQ(got.status().code(), ref.status().code()) << query;
+            EXPECT_EQ(got.status().message(), ref.status().message())
+                << query;
+          }
+        }
+      }
+      // Governance: a result cap trips (or not) exactly as on the nested
+      // loop; a cancelled run stops with kCancelled.
+      CompiledQuery::ExecOptions capped = exec;
+      capped.limits.max_result_items = 2;
+      auto cap_opt = optimized.value()->Execute(capped);
+      auto cap_ref = reference.value()->Execute(capped);
+      ASSERT_EQ(cap_opt.ok(), cap_ref.ok()) << query;
+      if (!cap_opt.ok()) {
+        EXPECT_EQ(cap_opt.status().code(), cap_ref.status().code()) << query;
+      }
+      CompiledQuery::ExecOptions cancelled = exec;
+      cancelled.limits.cancel = std::make_shared<CancelToken>();
+      cancelled.limits.cancel->Cancel();
+      auto cancel_r = optimized.value()->Execute(cancelled);
+      ASSERT_FALSE(cancel_r.ok()) << query;
+      EXPECT_EQ(cancel_r.status().code(), StatusCode::kCancelled) << query;
+    }
+  }
+  metrics::MetricsSnapshot delta = registry.Snapshot().Delta(before);
+  registry.set_enabled(metrics_were_on);
+  // The generator must actually exercise the join runtime: plans, and
+  // probes answered from a table rather than the nested-loop fallback.
+  EXPECT_GE(planned, 20);
+  EXPECT_GT(delta.counters["join.value_hash.calls"] +
+                delta.counters["join.value_band.calls"],
+            0u);
+  EXPECT_GT(delta.counters["join.value_nl.calls"], 0u);
+}
+
+TEST_P(ValueJoinDifferentialTest, InjectedFaultsAlwaysSurface) {
+  // A fault that fires anywhere — constructor allocation or an evaluation
+  // step inside the join build — must fail the run with its own Status,
+  // never be absorbed by the nested-loop fallback.
+  SplitMix64 rng(GetParam() * 7 + 1);
+  JoinCorpus corpus = MakeJoinCorpus(&rng, /*numeric_only=*/true);
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("j.xml", corpus.xml).status());
+  JoinCase jc = RandomJoinCase(&rng, corpus);
+  auto compiled = engine.Compile(jc.query);
+  ASSERT_TRUE(compiled.ok()) << jc.query;
+  auto want = compiled.value()->ExecuteToXml();
+  for (ExecBackend backend :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    for (const char* site : {"alloc", "iterators.next"}) {
+      for (uint64_t nth = 1; nth <= 40; ++nth) {
+        fault::ScopedFault f(site, nth, StatusCode::kInternal);
+        auto got = compiled.value()->ExecuteToXml(exec);
+        if (fault::Armed()) {
+          // Never reached: the run is the unfaulted one.
+          ASSERT_EQ(got.ok(), want.ok()) << jc.query;
+          if (want.ok()) {
+            EXPECT_EQ(got.value(), want.value()) << jc.query;
+          }
+          continue;
+        }
+        ASSERT_FALSE(got.ok()) << site << " #" << nth << ": " << jc.query;
+        EXPECT_EQ(got.status().code(), StatusCode::kInternal)
+            << site << " #" << nth << ": " << jc.query;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ValueJoinDifferentialTest,
+                         ::testing::Values(31, 32, 33, 34, 35, 36, 37, 38,
+                                           39, 40));
 
 }  // namespace
 }  // namespace xqp

@@ -7,6 +7,8 @@
 #include "query/normalize.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
+#include "xmark/generator.h"
+#include "xmark/queries.h"
 
 namespace xqp {
 namespace {
@@ -405,6 +407,144 @@ TEST(AccessPathExplainForced, DisabledIndexesRenderNoDecision) {
   ASSERT_TRUE(compiled.ok());
   EXPECT_EQ(compiled.value()->ExplainTree().find("[access:"),
             std::string::npos);
+}
+
+// --- Value-join decorrelation goldens --------------------------------------
+
+/// XMark at scale 0.01 with warm indexes, so the [join: ...] estimate is
+/// the synopsis count of the inner domain (exact for these chains: 25
+/// closed auctions, 75 people, 60 items, 30 open-auction initials).
+class ValueJoinExplain : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    XMarkOptions options;
+    options.scale = 0.01;
+    ASSERT_TRUE(
+        engine_.ParseAndRegister("xmark.xml", GenerateXMarkXml(options)).ok());
+    ASSERT_TRUE(engine_.GetDocumentIndexes("xmark.xml").ok());
+  }
+
+  std::string Explain(const std::string& id) {
+    for (const XMarkQuery& q : XMarkQuerySet()) {
+      if (q.id == id) return ExplainWarm(engine_, q.text);
+    }
+    ADD_FAILURE() << "no XMark query " << id;
+    return "";
+  }
+
+  static size_t Count(const std::string& tree, const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = tree.find(needle); at != std::string::npos;
+         at = tree.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  }
+
+  XQueryEngine engine_;
+};
+
+TEST_F(ValueJoinExplain, Q8IsAHashJoinOverClosedAuctions) {
+  std::string tree = Explain("Q8");
+  EXPECT_NE(tree.find("flwor [join: hash, est=25]"), std::string::npos)
+      << tree;
+  EXPECT_EQ(Count(tree, "[join:"), 1u) << tree;
+}
+
+TEST_F(ValueJoinExplain, Q9DecorrelatesBothLevels) {
+  std::string tree = Explain("Q9");
+  // closed_auction by buyer, and (nested in its return) item by itemref.
+  EXPECT_NE(tree.find("flwor [join: hash, est=25]"), std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("flwor [join: hash, est=60]"), std::string::npos)
+      << tree;
+  EXPECT_EQ(Count(tree, "[join: hash"), 2u) << tree;
+}
+
+TEST_F(ValueJoinExplain, Q10IsAHashJoinOverPeople) {
+  std::string tree = Explain("Q10");
+  EXPECT_NE(tree.find("flwor [join: hash, est=75]"), std::string::npos)
+      << tree;
+}
+
+TEST_F(ValueJoinExplain, Q11AndQ12AreBandJoins) {
+  for (const char* id : {"Q11", "Q12"}) {
+    std::string tree = Explain(id);
+    EXPECT_NE(tree.find("flwor [join: band, est=30]"), std::string::npos)
+        << id << "\n" << tree;
+    EXPECT_EQ(Count(tree, "[join:"), 1u) << id << "\n" << tree;
+  }
+}
+
+TEST_F(ValueJoinExplain, PositionalVariableKeepsTheNestedLoop) {
+  std::string tree = ExplainWarm(
+      engine_,
+      "for $p in doc('xmark.xml')/site/people/person "
+      "return count(for $t at $n in doc('xmark.xml')//closed_auction "
+      "where $t/buyer/@person = $p/@id return $n)");
+  EXPECT_NE(tree.find("[join: nl"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find("[join: hash"), std::string::npos) << tree;
+}
+
+TEST_F(ValueJoinExplain, CorrelatedDomainKeepsTheNestedLoop) {
+  std::string tree = ExplainWarm(
+      engine_,
+      "for $p in doc('xmark.xml')/site/people/person "
+      "return count(for $w in $p/watches/watch "
+      "where $w/@open_auction = $p/@id return $w)");
+  EXPECT_NE(tree.find("[join: nl"), std::string::npos) << tree;
+}
+
+TEST_F(ValueJoinExplain, NotEqualKeepsTheNestedLoop) {
+  std::string tree = ExplainWarm(
+      engine_,
+      "for $p in doc('xmark.xml')/site/people/person "
+      "return count(for $t in doc('xmark.xml')//closed_auction "
+      "where $t/buyer/@person != $p/@id return $t)");
+  EXPECT_NE(tree.find("[join: nl"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find("[join: hash"), std::string::npos) << tree;
+}
+
+TEST_F(ValueJoinExplain, InnerKeyReadingTheOuterLoopKeepsTheNestedLoop) {
+  std::string tree = ExplainWarm(
+      engine_,
+      "for $p in doc('xmark.xml')/site/people/person "
+      "return count(for $t in doc('xmark.xml')//closed_auction "
+      "where concat($t/buyer/@person, $p/name) = $p/@id return $t)");
+  EXPECT_NE(tree.find("[join: nl"), std::string::npos) << tree;
+}
+
+TEST_F(ValueJoinExplain, FlworOutsideAnyLoopIsNotAJoin) {
+  // Runs once per execution: nothing to decorrelate, no annotation.
+  std::string tree = ExplainWarm(
+      engine_,
+      "count(for $t in doc('xmark.xml')//closed_auction "
+      "where $t/buyer/@person = 'person0' return $t)");
+  EXPECT_EQ(tree.find("[join:"), std::string::npos) << tree;
+}
+
+TEST_F(ValueJoinExplain, UnoptimizedPlansAreNeverDecorrelated) {
+  for (const XMarkQuery& q : XMarkQuerySet()) {
+    XQueryEngine::CompileOptions no_opt;
+    no_opt.optimize = false;
+    auto compiled = engine_.Compile(q.text, no_opt);
+    ASSERT_TRUE(compiled.ok()) << q.id;
+    EXPECT_EQ(compiled.value()->ExplainTree().find("[join:"),
+              std::string::npos)
+        << q.id;
+  }
+}
+
+TEST_F(ValueJoinExplain, NavigationQueriesCarryNoJoinPlan) {
+  // Only Q8–Q12 have a correlated inner FLWOR.
+  for (const XMarkQuery& q : XMarkQuerySet()) {
+    if (q.id == "Q8" || q.id == "Q9" || q.id == "Q10" || q.id == "Q11" ||
+        q.id == "Q12") {
+      continue;
+    }
+    EXPECT_EQ(ExplainWarm(engine_, q.text).find("[join:"), std::string::npos)
+        << q.id;
+  }
 }
 
 }  // namespace

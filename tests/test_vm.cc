@@ -626,6 +626,28 @@ TEST(VmRootStep, RootAnchoredPathsCompile) {
   }
 }
 
+// --- Handler-local lifetimes -----------------------------------------------
+
+// Computed-goto dispatch leaves a handler without running destructors for
+// its block-scope locals, so any heap-owning local that is still alive at
+// VM_NEXT leaks once per executed instruction. The slow paths of kArith,
+// kValueCmp and kUnary atomize node operands into scratch sequences; this
+// loop drives each of them a thousand times, and the ASan lane
+// (detect_leaks=1) fails on any scratch that is never freed.
+TEST(VmLifetimes, NodeOperandSlowPathsDoNotLeak) {
+  std::string doc = "<r>";
+  for (int i = 0; i < 10; ++i) {
+    doc += "<v>" + std::to_string(i) + "</v>";
+  }
+  doc += "</r>";
+  std::string got = RunBoth(
+      "sum(for $i in 1 to 100, $n in doc('doc.xml')/r/v "
+      "return ($n * 2) + (if ($n eq '3') then 1 else 0) + (-$n))",
+      doc);
+  // Per $i: sum(2n - n) over 0..9 = 45, plus one hit of $n eq '3'.
+  EXPECT_EQ(got, "4600");
+}
+
 // --- Governor --------------------------------------------------------------
 
 TEST(VmGovernor, CancelTripsAtBackEdge) {

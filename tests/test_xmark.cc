@@ -81,7 +81,12 @@ TEST_P(XMarkQueryTest, EnginesAgree) {
   XQP_ASSERT_OK_AND_ASSIGN(std::string eager_out,
                            compiled->ExecuteToXml(eager));
   EXPECT_EQ(lazy_out, eager_out) << GetParam().id;
-  // Unoptimized must agree as well.
+  CompiledQuery::ExecOptions vm;
+  vm.backend = ExecBackend::kVm;
+  XQP_ASSERT_OK_AND_ASSIGN(std::string vm_out, compiled->ExecuteToXml(vm));
+  EXPECT_EQ(vm_out, lazy_out) << GetParam().id;
+  // Unoptimized must agree as well (for Q8–Q12: the nested-loop plans
+  // against the decorrelated value joins).
   XQueryEngine::CompileOptions raw;
   raw.optimize = false;
   XQP_ASSERT_OK_AND_ASSIGN(auto unopt, engine.Compile(GetParam().text, raw));

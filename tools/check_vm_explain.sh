@@ -2,6 +2,8 @@
 # CI gate: the canonical XMark path, constructor, and order-by shapes
 # must lower entirely to the VM's opcodes — any `[bailout:` annotation in
 # the vm EXPLAIN tree is a regression in the bytecode compiler's lowering.
+# The XMark value-join queries (Q08–Q12) must in addition carry a
+# decorrelated `[join: hash|band` plan (kValueJoin).
 #
 # Usage: tools/check_vm_explain.sh <path-to-xqp_profile>
 set -euo pipefail
@@ -9,6 +11,7 @@ set -euo pipefail
 PROFILE="${1:?usage: check_vm_explain.sh <path-to-xqp_profile>}"
 
 QUERY_IDS=(Q06 Q07)
+JOIN_QUERY_IDS=(Q08 Q09 Q10 Q11 Q12)
 TEXT_SHAPES=(
   "doc('xmark.xml')/site/people/person[@id = 'person0']/name"
   "doc('xmark.xml')/site/people/person/name"
@@ -38,6 +41,14 @@ check() {
 
 for id in "${QUERY_IDS[@]}"; do
   check "$id" --query "$id"
+done
+for id in "${JOIN_QUERY_IDS[@]}"; do
+  check "$id" --query "$id"
+  plan="$("$PROFILE" --query "$id" --scale 10 --backend vm --explain-only)"
+  if ! grep -qE '\[join: (hash|band)' <<<"$plan"; then
+    echo "FAIL: no decorrelated [join: hash|band] plan for ${id}" >&2
+    fail=1
+  fi
 done
 for text in "${TEXT_SHAPES[@]}"; do
   check "$text" --text "$text"

@@ -4,7 +4,8 @@
 # carrying the `tsan` ctest label — the parallel join kernels and the
 # lock-free metrics/profile subsystem), and an ASan+UBSan build of the
 # suite that leans hardest on error paths and object lifetimes (the
-# robustness/governance tests plus the fuzz smoke drivers).
+# `asan` label: the robustness/governance tests, the VM and value-join
+# differential suites, plus the fuzz smoke drivers).
 #
 # Usage: tools/run_ci.sh [release-build-dir] [tsan-build-dir] [asan-build-dir]
 #   Defaults: build, build-tsan, build-asan. The trees are kept separate so
@@ -24,12 +25,12 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
-echo "=== Release bench smoke (ingest fast path + index access paths + vm + planner) ==="
+echo "=== Release bench smoke (ingest fast path + index access paths + vm + planner + value joins) ==="
 # A short-min-time pass over the ingest, index, vm, and planner benchmarks
 # keeps the fast-path numbers honest on every CI run; BENCH_ingest.json /
 # BENCH_parse.json / BENCH_index.json / BENCH_vm.json / BENCH_planner.json /
-# BENCH_vm_paths.json / BENCH_vm_construct.json land in the release build
-# dir for the perf dashboard to pick up.
+# BENCH_vm_paths.json / BENCH_vm_construct.json / BENCH_value_join.json
+# land in the release build dir for the perf dashboard to pick up.
 (cd "$BUILD_DIR" && \
   ./bench/bench_ingest --json --benchmark_min_time=0.1 && \
   ./bench/bench_parse --json --benchmark_min_time=0.1 \
@@ -43,7 +44,9 @@ echo "=== Release bench smoke (ingest fast path + index access paths + vm + plan
   ./bench/bench_planner --json --benchmark_min_time=0.1 \
     --benchmark_filter='/(1|64)$' && \
   ./bench/bench_storage --json --benchmark_min_time=0.1 \
-    --benchmark_filter='BM_ColdStart.*/50')
+    --benchmark_filter='BM_ColdStart.*/50' && \
+  ./bench/bench_value_join --json --benchmark_min_time=0.05 \
+    --benchmark_filter='permille:50/')
 
 echo "=== ThreadSanitizer build + tsan-labelled tests ==="
 cmake -B "$TSAN_DIR" -S . \
@@ -51,7 +54,7 @@ cmake -B "$TSAN_DIR" -S . \
   -DXQP_SANITIZE=thread
 cmake --build "$TSAN_DIR" \
   --target test_parallel test_metrics test_ingest test_index test_vm \
-  test_planner test_storage \
+  test_planner test_storage test_differential \
   -j"$(nproc)"
 
 export XQP_THREADS=4
@@ -69,12 +72,12 @@ cmake -B "$ASAN_DIR" -S . \
   -DXQP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" \
   --target test_robustness test_ingest test_index test_vm test_planner \
-  test_storage fuzz_pull_parser fuzz_query_parser fuzz_snapshot \
+  test_storage test_differential fuzz_pull_parser fuzz_query_parser \
+  fuzz_snapshot \
   -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
-ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_robustness|test_ingest|test_index|test_vm|test_planner|test_storage|tool_fuzz_smoke'
+ctest --test-dir "$ASAN_DIR" --output-on-failure -L asan
 
 echo "CI run clean."
