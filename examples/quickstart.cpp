@@ -69,8 +69,10 @@ int main() {
     std::printf("  %-24s x%d\n", rule.c_str(), count);
   }
 
-  // 3. Execute on the lazy streaming engine (default)...
-  auto result = (*compiled)->ExecuteToXml();
+  // 3. Execute on the lazy streaming engine...
+  CompiledQuery::ExecOptions lazy;
+  lazy.backend = ExecBackend::kLazy;
+  auto result = (*compiled)->ExecuteToXml(lazy);
   if (!result.ok()) {
     std::fprintf(stderr, "execution error: %s\n",
                  result.status().ToString().c_str());
@@ -80,7 +82,7 @@ int main() {
 
   // ...and on the eager reference interpreter — same answer.
   CompiledQuery::ExecOptions eager;
-  eager.use_lazy_engine = false;
+  eager.backend = ExecBackend::kEager;
   auto reference = (*compiled)->ExecuteToXml(eager);
   std::printf("eager reference engine:\n  %s\n", reference->c_str());
   std::printf("\nengines agree: %s\n",

@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
       continue;
     }
     CompiledQuery::ExecOptions lazy;
+    lazy.backend = ExecBackend::kLazy;
     CompiledQuery::ExecOptions eager;
-    eager.use_lazy_engine = false;
+    eager.backend = ExecBackend::kEager;
 
     t0 = std::chrono::steady_clock::now();
     auto lazy_result = (*compiled)->Execute(lazy);

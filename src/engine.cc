@@ -11,14 +11,10 @@
 
 #include "base/fault.h"
 #include "storage/snapshot.h"
-#include "tokens/token_stream.h"
-#include "index/index_planner.h"
 #include "base/limits.h"
 #include "base/parallel.h"
 #include "exec/interpreter.h"
 #include "exec/iterators.h"
-#include "join/twig.h"
-#include "join/twig_planner.h"
 #include "opt/access_path.h"
 #include "opt/inline_functions.h"
 #include "opt/properties.h"
@@ -162,18 +158,7 @@ Result<std::shared_ptr<const Document>> XQueryEngine::ParseAndRegister(
     if (loaded.ok()) {
       if (loaded.value().content_hash == storage::HashContent(xml) &&
           loaded.value().content_bytes == xml.size()) {
-        std::shared_ptr<const Document> doc = loaded.value().document;
-        {
-          std::unique_lock lock(mu_);
-          documents_[uri] = doc;
-          InvalidateCachesLocked();
-        }
-        if (options_.enable_indexes && loaded.value().indexes != nullptr &&
-            loaded.value().value_kinds == options_.index_value_kinds) {
-          index_manager_.Adopt(uri, loaded.value().indexes);
-        }
-        CountStorage("storage.loads");
-        return doc;
+        return AdoptSnapshot(uri, loaded.value());
       }
       CountStorage("storage.stale");
     } else if (loaded.status().code() == StatusCode::kSnapshotCorrupt) {
@@ -226,12 +211,8 @@ Status XQueryEngine::SaveSnapshot(const std::string& uri,
         indexes,
         index_manager_.GetOrBuild(uri, doc, options_.index_value_kinds));
   }
-  // A full token stream rides along so snapshot consumers that replay
-  // tokens (streaming experiments) skip rendering too.
-  TokenStream tokens = TokenStream::FromDocument(*doc);
   storage::SnapshotInput input;
   input.doc = doc.get();
-  input.tokens = &tokens;
   input.indexes = indexes.get();
   XQP_RETURN_NOT_OK(storage::WriteSnapshotFile(path, input));
   CountStorage("storage.saves");
@@ -242,20 +223,7 @@ Result<std::shared_ptr<const Document>> XQueryEngine::LoadDocumentSnapshot(
     const std::string& uri, const std::string& path,
     std::string_view fallback_xml, const ParseOptions& options) {
   Result<storage::LoadedSnapshot> loaded = storage::OpenSnapshot(path);
-  if (loaded.ok()) {
-    std::shared_ptr<const Document> doc = loaded.value().document;
-    {
-      std::unique_lock lock(mu_);
-      documents_[uri] = doc;
-      InvalidateCachesLocked();
-    }
-    if (options_.enable_indexes && loaded.value().indexes != nullptr &&
-        loaded.value().value_kinds == options_.index_value_kinds) {
-      index_manager_.Adopt(uri, loaded.value().indexes);
-    }
-    CountStorage("storage.loads");
-    return doc;
-  }
+  if (loaded.ok()) return AdoptSnapshot(uri, loaded.value());
   if (loaded.status().code() == StatusCode::kSnapshotCorrupt) {
     CountStorage("storage.corrupt");
   }
@@ -264,6 +232,21 @@ Result<std::shared_ptr<const Document>> XQueryEngine::LoadDocumentSnapshot(
   // are at hand — re-ingest them so the document stays queryable.
   CountStorage("storage.fallbacks");
   return ParseAndRegister(uri, fallback_xml, options);
+}
+
+std::shared_ptr<const Document> XQueryEngine::AdoptSnapshot(
+    const std::string& uri, const storage::LoadedSnapshot& loaded) {
+  {
+    std::unique_lock lock(mu_);
+    documents_[uri] = loaded.document;
+    InvalidateCachesLocked();
+  }
+  if (options_.enable_indexes && loaded.indexes != nullptr &&
+      loaded.value_kinds == options_.index_value_kinds) {
+    index_manager_.Adopt(uri, loaded.indexes);
+  }
+  CountStorage("storage.loads");
+  return loaded.document;
 }
 
 std::string XQueryEngine::SnapshotPathFor(const std::string& uri) const {
@@ -617,7 +600,6 @@ std::shared_ptr<CancelToken> CompiledQuery::EngineToken() const {
 
 ExecBackend CompiledQuery::ResolvedBackend(const ExecOptions& options) const {
   if (options.backend.has_value()) return *options.backend;
-  if (!options.use_lazy_engine) return ExecBackend::kEager;
   return engine_ != nullptr ? engine_->options().backend : ExecBackend::kLazy;
 }
 
@@ -761,7 +743,6 @@ Result<ProfileReport> CompiledQuery::Profile(const ExecOptions& options) const {
   report.rewrites = rewrite_stats_;
   const ExecBackend backend = ResolvedBackend(options);
   report.backend = backend;
-  report.used_lazy_engine = backend == ExecBackend::kLazy;
 
   // Force the global registry on for the run so kernel counters and
   // dispatch decisions are captured, restoring the caller's setting after.
@@ -988,95 +969,6 @@ Result<std::string> ResultStream::DrainToXml() {
       out += item.AsAtomic().Lexical();
       prev_atomic = true;
     }
-  }
-  return out;
-}
-
-bool CompiledQuery::IsTwigConvertible() const {
-  return TwigPlanner::IsConvertible(*module_->body);
-}
-
-Result<Sequence> CompiledQuery::ExecuteViaTwigJoin() const {
-  XQP_ASSIGN_OR_RETURN(TwigPattern pattern,
-                       TwigPlanner::Compile(*module_->body));
-  if (pattern.anchor_uri.empty()) {
-    return Status::InvalidArgument(
-        "twig execution requires a doc('uri')-anchored path");
-  }
-  if (engine_ == nullptr) return Status::Internal("query has no engine");
-  // Twig execution is governed like the navigational engines: index builds
-  // charge the memory budget, parallel morsels observe trips.
-  ResourceGovernor governor(EffectiveLimits(ExecOptions()), EngineToken());
-  GovernorScope scope(&governor);
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<const TagIndex> index,
-                       engine_->GetTagIndex(pattern.anchor_uri));
-  const EngineOptions& opts = engine_->options();
-  std::vector<NodeIndex> matches;
-  bool answered = false;
-  // A forced access path reroutes the twig executor the same way it does
-  // the navigational engines: nav runs the recursive-probing baseline,
-  // sjoin the binary structural-join pipeline, twig skips the synopsis
-  // substitution so the holistic join runs over full per-tag lists.
-  if (opts.force_access_path == AccessPath::kNav) {
-    XQP_ASSIGN_OR_RETURN(matches, NavigationMatch(index->doc(), pattern));
-    answered = true;
-  } else if (opts.force_access_path == AccessPath::kSJoin) {
-    XQP_ASSIGN_OR_RETURN(matches, BinaryJoinMatch(*index, pattern));
-    answered = true;
-  }
-  if (!answered && opts.enable_indexes &&
-      opts.force_access_path != AccessPath::kTwig) {
-    // Index-aware planning: resolve each pattern node's root chain against
-    // the path synopsis. A linear pattern whose output is the leaf is a
-    // complete synopsis answer (no join at all); otherwise the synopsis-
-    // filtered posting lists replace the full per-tag leaf streams and the
-    // join runs over far fewer postings. Results are identical either way:
-    // the filtered lists are supersets of the solution participants.
-    XQP_ASSIGN_OR_RETURN(std::shared_ptr<const DocumentIndexes> indexes,
-                         engine_->GetDocumentIndexes(pattern.anchor_uri));
-    if (indexes != nullptr && indexes->doc_ptr() == index->doc_ptr()) {
-      auto lists = SynopsisPostingsForPattern(*indexes, pattern);
-      if (lists.has_value()) {
-        static metrics::Counter* synopsis_answered =
-            metrics::MetricsRegistry::Global().counter(
-                "twig.synopsis_answered");
-        static metrics::Counter* synopsis_substituted =
-            metrics::MetricsRegistry::Global().counter(
-                "twig.synopsis_substituted");
-        if (pattern.IsPath() &&
-            pattern.nodes[pattern.output].children.empty()) {
-          matches = std::move((*lists)[pattern.output]);
-          if (metrics::Enabled()) synopsis_answered->Add(1);
-        } else {
-          std::vector<const std::vector<NodeIndex>*> ptrs;
-          ptrs.reserve(lists->size());
-          for (const auto& l : *lists) ptrs.push_back(&l);
-          XQP_ASSIGN_OR_RETURN(
-              matches,
-              TwigStackMatchWithLists(indexes->doc(), pattern, ptrs));
-          if (metrics::Enabled()) synopsis_substituted->Add(1);
-        }
-        answered = true;
-      }
-    }
-  }
-  // Threshold dispatch: the parallel variant degrades to the serial
-  // algorithm internally when the posting lists are small, so small
-  // queries keep their latency.
-  if (!answered) {
-    if (opts.parallel_threshold > 0) {
-      XQP_ASSIGN_OR_RETURN(
-          matches, TwigStackMatchParallel(*index, pattern, nullptr,
-                                          opts.num_threads,
-                                          opts.parallel_threshold));
-    } else {
-      XQP_ASSIGN_OR_RETURN(matches, TwigStackMatch(*index, pattern));
-    }
-  }
-  Sequence out;
-  out.reserve(matches.size());
-  for (NodeIndex n : matches) {
-    out.push_back(Item(Node(index->doc_ptr(), n)));
   }
   return out;
 }

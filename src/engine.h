@@ -33,6 +33,10 @@ namespace vm {
 struct Program;
 }  // namespace vm
 
+namespace storage {
+struct LoadedSnapshot;
+}  // namespace storage
+
 /// Which execution backend runs a compiled query. kLazy is the streaming
 /// iterator engine (default), kEager the materializing reference
 /// interpreter, kVm the bytecode compiler + dispatch-loop VM (compiled
@@ -143,10 +147,10 @@ class XQueryEngine : public DocumentProvider {
   /// Registers a named collection for fn:collection.
   Status RegisterCollection(const std::string& uri, Sequence items);
 
-  /// Freezes the registered document `uri` — node table, string pool, a
-  /// freshly rendered token stream, and its path/value indexes (built now
-  /// if enabled and not yet cached) — into a crash-atomically written
-  /// snapshot file at `path` (storage/snapshot.h).
+  /// Freezes the registered document `uri` — node table, string pool, and
+  /// its path/value indexes (built now if enabled and not yet cached) —
+  /// into a crash-atomically written snapshot file at `path`
+  /// (storage/snapshot.h). Same format as the ParseAndRegister write-back.
   Status SaveSnapshot(const std::string& uri, const std::string& path);
 
   /// Opens the snapshot at `path` (mmap + full validation) and registers
@@ -270,6 +274,12 @@ class XQueryEngine : public DocumentProvider {
   Result<Sequence> ExecuteCachedInternal(std::string_view query,
                                          std::shared_ptr<CancelToken> cancel);
 
+  /// Registers a validated snapshot's document under `uri`, adopts its
+  /// indexes when they match this engine's index options, and counts
+  /// `storage.loads`.
+  std::shared_ptr<const Document> AdoptSnapshot(
+      const std::string& uri, const storage::LoadedSnapshot& loaded);
+
   EngineOptions options_;
 
   /// Guards the maps below. Executions take it shared; registration and
@@ -315,10 +325,8 @@ struct ProfileReport {
   XQueryEngine::CacheStats cache;
   metrics::MetricsSnapshot engine_metrics;
   uint64_t total_wall_ns = 0;
-  /// Backend that produced the run; used_lazy_engine mirrors it for
-  /// source compatibility (true iff backend == kLazy).
+  /// Backend that produced the run.
   ExecBackend backend = ExecBackend::kLazy;
-  bool used_lazy_engine = true;
   const ParsedModule* module = nullptr;
 
   /// Stats of the plan root; its `items` equals the result cardinality.
@@ -366,14 +374,8 @@ class CompiledQuery {
     /// Initial context item (".").
     bool has_context_item = false;
     Item context_item;
-    /// Engine selection: the lazy streaming iterator engine (default) or
-    /// the eager materializing interpreter. Superseded by `backend`, kept
-    /// for source compatibility: false means kEager unless `backend` is
-    /// set.
-    bool use_lazy_engine = true;
-
-    /// Execution backend for this call. Unset: `use_lazy_engine` (when
-    /// false -> kEager), else the engine's EngineOptions::backend.
+    /// Execution backend for this call. Unset: the engine's
+    /// EngineOptions::backend (kLazy without an engine).
     std::optional<ExecBackend> backend;
 
     /// Per-call resource limits; non-zero fields override the engine's
@@ -405,16 +407,6 @@ class CompiledQuery {
     return Open(ExecOptions());
   }
 
-  /// True when this query's body is a pure tree pattern that the
-  /// structural-join executor can evaluate (see join/twig_planner.h).
-  bool IsTwigConvertible() const;
-
-  /// Evaluates the query through the holistic twig-join executor instead of
-  /// the navigational engines. Requires IsTwigConvertible() and a
-  /// doc('uri')-anchored path; results are identical to Execute() for the
-  /// supported fragment. InvalidArgument otherwise.
-  Result<Sequence> ExecuteViaTwigJoin() const;
-
   const ParsedModule& module() const { return *module_; }
 
   /// Expression-tree dump after optimization (plan explanation).
@@ -429,7 +421,7 @@ class CompiledQuery {
   std::string ExplainTree(const ExecOptions& options) const;
 
   /// The backend Execute(options) would use: options.backend if set, else
-  /// kEager when use_lazy_engine is false, else the engine's default.
+  /// the engine's default.
   ExecBackend ResolvedBackend(const ExecOptions& options) const;
 
   /// Executes the query with per-operator profiling: every iterator pull /

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "tokens/token.h"
 #include "xml/document.h"
 
 namespace xqp {
@@ -12,17 +11,18 @@ namespace storage {
 
 /// On-disk layout of a document snapshot (DM3 of the paper's data-
 /// management life cycle): one offset-based binary file freezing a loaded
-/// document — node table, string-pool arena, token stream, and its
-/// path-synopsis / value indexes — for O(1) mmap reopen with zero parse
-/// cost.
+/// document — node table, string-pool arena, and its path-synopsis /
+/// value indexes — for O(1) mmap reopen with zero parse cost. Indexes are
+/// stored beside the data, never inside it: a snapshot without them is a
+/// complete document.
 ///
 ///   [SnapshotHeader][SectionEntry x section_count][section payloads...]
 ///
 /// Every section payload starts at an 8-byte-aligned offset and carries a
 /// CRC-32C; the header checksums itself and the section table separately,
 /// so a torn or bit-rotted file is detected before any pointer into the
-/// mapping is handed out. POD sections (node records, tokens, pool entry
-/// tables, postings) are used zero-copy straight out of the mapping;
+/// mapping is handed out. POD sections (node records, pool entry tables,
+/// postings) are used zero-copy straight out of the mapping;
 /// variable-length sections (names, namespace declarations, value
 /// postings) are bounds-checked serialized streams materialized on load.
 ///
@@ -34,20 +34,22 @@ namespace storage {
 
 inline constexpr char kSnapshotMagic[8] = {'X', 'Q', 'P', 'S',
                                            'N', 'A', 'P', '1'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Any other version fails closed as kSnapshotCorrupt, so a file of an
+/// older format (version 1 also stored a TokenStream) is re-ingested and
+/// rewritten, never served.
+inline constexpr uint32_t kSnapshotVersion = 2;
 /// Written as 0x01020304 by the native byte order; a swapped value on read
 /// means the file came from an other-endian machine and is rejected
 /// (snapshots are a same-architecture cache, not an interchange format).
 inline constexpr uint32_t kEndianTag = 0x01020304;
 
 enum SnapshotFlags : uint32_t {
-  kFlagHasTokens = 1u << 0,
-  kFlagHasIndexes = 1u << 1,
+  kFlagHasIndexes = 1u << 0,
 };
 
-/// Section identifiers. Required document sections are 1..6; token
-/// sections exist iff kFlagHasTokens, index sections iff kFlagHasIndexes
-/// (kValues additionally requires value_kinds != 0).
+/// Section identifiers. Required document sections are 1..6; index
+/// sections exist iff kFlagHasIndexes (kValues additionally requires
+/// value_kinds != 0).
 enum class SectionId : uint32_t {
   kNodes = 1,           // NodeRecord[count], zero-copy
   kNames = 2,           // serialized QName table (count entries)
@@ -55,14 +57,10 @@ enum class SectionId : uint32_t {
   kPoolArena = 4,       // raw string bytes, zero-copy
   kNsDecls = 5,         // serialized per-element namespace declarations
   kBaseUri = 6,         // raw bytes
-  kTokens = 7,          // Token[count], the frozen TokenStream
-  kTokenNames = 8,      // serialized QName table
-  kTokenPoolIndex = 9,  // PoolEntry[count] into kTokenPoolArena
-  kTokenPoolArena = 10, // raw string bytes, zero-copy
-  kSynopsis = 11,       // SynopsisRec[count] (children rebuilt from parents)
-  kPostingsOffsets = 12,  // uint64[count_synopsis + 1], CSR row starts
-  kPostingsData = 13,   // NodeIndex[count], CSR payload
-  kValues = 14,         // serialized ValuePostings per synopsis node
+  kSynopsis = 7,        // SynopsisRec[count] (children rebuilt from parents)
+  kPostingsOffsets = 8, // uint64[count_synopsis + 1], CSR row starts
+  kPostingsData = 9,    // NodeIndex[count], CSR payload
+  kValues = 10,         // serialized ValuePostings per synopsis node
 };
 
 struct SnapshotHeader {
@@ -71,10 +69,10 @@ struct SnapshotHeader {
   uint32_t endian;
   uint32_t arch_bits;         // 8 * sizeof(void*) of the writing process.
   uint32_t node_record_size;  // sizeof(NodeRecord) layout check.
-  uint32_t token_size;        // sizeof(Token) layout check.
   uint32_t flags;             // SnapshotFlags.
   uint32_t value_kinds;       // IndexValueKinds the indexes were built with.
   uint32_t section_count;
+  uint32_t reserved;          // Zero; aligns the 64-bit fields below.
   uint64_t file_size;     // Total bytes; a shorter mapping is a torn write.
   uint64_t content_hash;  // FNV-1a of the source XML (0 = unknown).
   uint64_t content_bytes; // Length of the source XML (0 = unknown).
@@ -114,11 +112,10 @@ struct SynopsisRec {
 static_assert(std::is_trivially_copyable_v<SynopsisRec>);
 static_assert(sizeof(SynopsisRec) == 12);
 
-// The zero-copy sections depend on these layouts being stable within one
-// build; the header records the sizes so a snapshot written by a binary
+// The zero-copy node section depends on this layout being stable within
+// one build; the header records its size so a snapshot written by a binary
 // with a different layout is rejected, not misread.
 static_assert(std::is_trivially_copyable_v<NodeRecord>);
-static_assert(std::is_trivially_copyable_v<Token>);
 
 }  // namespace storage
 }  // namespace xqp

@@ -141,28 +141,8 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
   sections.push_back(Section{SectionId::kBaseUri, doc.base_uri().size(),
                              std::string(doc.base_uri())});
 
-  // --- Token sections (optional). ---------------------------------------
-  uint32_t flags = 0;
-  if (input.tokens != nullptr) {
-    flags |= kFlagHasTokens;
-    const TokenStream& ts = *input.tokens;
-    ByteSink tokens;
-    for (size_t i = 0; i < ts.size(); ++i) {
-      const Token& t = ts.token(i);
-      tokens.PutRaw(&t, sizeof(Token));
-    }
-    sections.push_back(Section{SectionId::kTokens, ts.size(), tokens.Take()});
-    ByteSink names;
-    for (uint32_t id = 0; id < ts.NumNames(); ++id) {
-      PutQName(&names, ts.name_at(id));
-    }
-    sections.push_back(Section{SectionId::kTokenNames, ts.NumNames(),
-                               names.Take()});
-    AppendPoolSections(ts.pool(), SectionId::kTokenPoolIndex,
-                       SectionId::kTokenPoolArena, &sections);
-  }
-
   // --- Index sections (optional). ---------------------------------------
+  uint32_t flags = 0;
   uint32_t value_kinds = 0;
   if (input.indexes != nullptr) {
     flags |= kFlagHasIndexes;
@@ -240,7 +220,6 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
   header.endian = kEndianTag;
   header.arch_bits = 8 * sizeof(void*);
   header.node_record_size = sizeof(NodeRecord);
-  header.token_size = sizeof(Token);
   header.flags = flags;
   header.value_kinds = value_kinds;
   header.section_count = static_cast<uint32_t>(sections.size());

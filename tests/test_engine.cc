@@ -130,26 +130,26 @@ TEST(Engine, ResultStreamOnHugeSequenceIsLazy) {
   }
 }
 
+// Structural and twig joins run only through the access-path dispatcher:
+// forcing each strategy on the same query gives the auto plan's bytes.
 TEST(Engine, TwigJoinExecutionMatchesEngine) {
-  XQueryEngine engine;
-  XQP_ASSERT_OK(engine
-                    .ParseAndRegister("d.xml",
-                                      "<r><a><b/><c/></a><a><b/></a>"
-                                      "<a><c/></a></r>")
-                    .status());
-  XQP_ASSERT_OK_AND_ASSIGN(auto q, engine.Compile("doc('d.xml')//a[b]/c"));
-  ASSERT_TRUE(q->IsTwigConvertible());
-  XQP_ASSERT_OK_AND_ASSIGN(Sequence via_engine, q->Execute());
-  XQP_ASSERT_OK_AND_ASSIGN(Sequence via_twig, q->ExecuteViaTwigJoin());
-  EXPECT_TRUE(SequencesIdentical(via_engine, via_twig));
-  EXPECT_EQ(via_twig.size(), 1u);
+  using testing_util::ExpectForcedPathsAgree;
+  const std::string xml = "<r><a><b/><c/></a><a><b/></a><a><c/></a></r>";
+  ExpectForcedPathsAgree("doc('d.xml')//a/c", /*chain=*/true, "d.xml", xml);
+  ExpectForcedPathsAgree("doc('d.xml')/r/a/b", /*chain=*/true, "d.xml", xml);
+  // A branching pattern is not a chain: every force declines it.
+  ExpectForcedPathsAgree("doc('d.xml')//a[b]/c", /*chain=*/false, "d.xml",
+                         xml);
+  EXPECT_EQ(testing_util::RunWithForcedPath("doc('d.xml')//a[b]/c",
+                                            AccessPath::kTwig, "d.xml", xml)
+                .result,
+            "<c/>");
 }
 
 TEST(Engine, TwigJoinRejectsNonPath) {
-  XQueryEngine engine;
-  XQP_ASSERT_OK_AND_ASSIGN(auto q, engine.Compile("1 + 1"));
-  EXPECT_FALSE(q->IsTwigConvertible());
-  EXPECT_FALSE(q->ExecuteViaTwigJoin().ok());
+  testing_util::ExpectForcedPathsAgree("1 + 1", /*chain=*/false);
+  EXPECT_EQ(testing_util::RunWithForcedPath("1 + 1", AccessPath::kTwig).result,
+            "2");
 }
 
 TEST(Engine, TagIndexCachedPerDocument) {

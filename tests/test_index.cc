@@ -37,7 +37,7 @@ std::string RunOn(XQueryEngine& engine, const std::string& query,
                              << compiled.status().ToString();
   if (!compiled.ok()) return "COMPILE-ERROR";
   CompiledQuery::ExecOptions exec;
-  exec.use_lazy_engine = lazy;
+  exec.backend = lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   auto result = compiled.value()->ExecuteToXml(exec);
   EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
   return result.ok() ? result.value() : "ERROR";
@@ -293,26 +293,18 @@ TEST(EngineIndex, ValueKindsKnobLimitsFamilies) {
   EXPECT_EQ(RunOn(engine, "count(doc('d.xml')/r/a)"), "2");
 }
 
-// --- Twig substitution ----------------------------------------------------
+// --- Forced twig through the access-path dispatcher ------------------------
 
 TEST(EngineIndex, TwigJoinWithSynopsisListsMatchesExecute) {
-  XQueryEngine engine;
-  XQP_ASSERT_OK(engine.ParseAndRegister("xmark.xml", XMarkXml()).status());
-  const char* queries[] = {
-      "doc('xmark.xml')//open_auction[bidder]//increase",
-      "doc('xmark.xml')/site/people/person",
-      "doc('xmark.xml')//item[location][quantity]",
-  };
-  for (const char* q : queries) {
-    XQP_ASSERT_OK_AND_ASSIGN(auto compiled, engine.Compile(q));
-    ASSERT_TRUE(compiled->IsTwigConvertible()) << q;
-    XQP_ASSERT_OK_AND_ASSIGN(Sequence via_twig, compiled->ExecuteViaTwigJoin());
-    XQP_ASSERT_OK_AND_ASSIGN(Sequence via_exec, compiled->Execute());
-    XQP_ASSERT_OK_AND_ASSIGN(std::string twig_xml,
-                             SerializeSequence(via_twig));
-    XQP_ASSERT_OK_AND_ASSIGN(std::string exec_xml,
-                             SerializeSequence(via_exec));
-    EXPECT_EQ(twig_xml, exec_xml) << q;
+  const std::string xml = XMarkXml();
+  for (const char* q : {"doc('xmark.xml')/site/people/person",
+                        "doc('xmark.xml')//open_auction//increase",
+                        "doc('xmark.xml')/site/regions//item/location"}) {
+    testing_util::ExpectForcedPathsAgree(q, /*chain=*/true, "xmark.xml", xml);
+  }
+  for (const char* q : {"doc('xmark.xml')//open_auction[bidder]//increase",
+                        "doc('xmark.xml')//item[location][quantity]"}) {
+    testing_util::ExpectForcedPathsAgree(q, /*chain=*/false, "xmark.xml", xml);
   }
 }
 

@@ -37,7 +37,7 @@ Status RunStatus(XQueryEngine& engine, std::string_view query, bool use_lazy,
   auto compiled = engine.Compile(query);
   if (!compiled.ok()) return compiled.status();
   CompiledQuery::ExecOptions options;
-  options.use_lazy_engine = use_lazy;
+  options.backend = use_lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   options.limits = limits;
   return (*compiled)->Execute(options).status();
 }

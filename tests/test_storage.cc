@@ -24,7 +24,6 @@
 #include "storage/snapshot.h"
 #include "storage/snapshot_format.h"
 #include "tests/test_util.h"
-#include "tokens/token_stream.h"
 #include "xml/document.h"
 
 namespace xqp {
@@ -57,7 +56,6 @@ std::shared_ptr<const Document> ParseDoc(std::string_view xml = kXml) {
 
 struct Frozen {
   std::shared_ptr<const Document> doc;
-  TokenStream tokens;
   std::shared_ptr<const DocumentIndexes> indexes;
   SnapshotInput input;
 };
@@ -65,10 +63,8 @@ struct Frozen {
 Frozen FreezeAll(std::string_view xml = kXml) {
   Frozen f;
   f.doc = ParseDoc(xml);
-  f.tokens = TokenStream::FromDocument(*f.doc);
   f.indexes = DocumentIndexes::Build(f.doc, kIndexValueAll).value();
   f.input.doc = f.doc.get();
-  f.input.tokens = &f.tokens;
   f.input.indexes = f.indexes.get();
   f.input.content_hash = storage::HashContent(xml);
   f.input.content_bytes = xml.size();
@@ -182,27 +178,6 @@ TEST(SnapshotRoundtrip, DocumentIsBitIdentical) {
   EXPECT_EQ(loaded.content_bytes, f.input.content_bytes);
 }
 
-TEST(SnapshotRoundtrip, TokensAreBitIdentical) {
-  Frozen f = FreezeAll();
-  std::string bytes = storage::SerializeSnapshot(f.input).value();
-  XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, OpenBytes(bytes));
-  ASSERT_NE(loaded.tokens, nullptr);
-  const TokenStream& a = f.tokens;
-  const TokenStream& b = *loaded.tokens;
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(0, std::memcmp(&a.token(i), &b.token(i), sizeof(Token)))
-        << "token " << i;
-    EXPECT_EQ(a.value(a.token(i)), b.value(b.token(i))) << "token " << i;
-    EXPECT_EQ(a.aux(a.token(i)), b.aux(b.token(i))) << "token " << i;
-  }
-  ASSERT_EQ(a.NumNames(), b.NumNames());
-  for (uint32_t n = 0; n < a.NumNames(); ++n) {
-    EXPECT_EQ(a.name_at(n).uri, b.name_at(n).uri);
-    EXPECT_EQ(a.name_at(n).local, b.name_at(n).local);
-  }
-}
-
 TEST(SnapshotRoundtrip, IndexesAreBitIdentical) {
   Frozen f = FreezeAll();
   std::string bytes = storage::SerializeSnapshot(f.input).value();
@@ -249,20 +224,18 @@ TEST(SnapshotRoundtrip, ReserializingALoadedSnapshotIsByteIdentical) {
   XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, OpenBytes(bytes));
   SnapshotInput again;
   again.doc = loaded.document.get();
-  again.tokens = loaded.tokens.get();
   again.indexes = loaded.indexes.get();
   again.content_hash = loaded.content_hash;
   again.content_bytes = loaded.content_bytes;
   EXPECT_EQ(storage::SerializeSnapshot(again).value(), bytes);
 }
 
-TEST(SnapshotRoundtrip, MinimalDocumentWithoutTokensOrIndexes) {
+TEST(SnapshotRoundtrip, MinimalDocumentWithoutIndexes) {
   auto doc = ParseDoc("<only/>");
   SnapshotInput input;
   input.doc = doc.get();
   std::string bytes = storage::SerializeSnapshot(input).value();
   XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot loaded, OpenBytes(bytes));
-  EXPECT_EQ(loaded.tokens, nullptr);
   EXPECT_EQ(loaded.indexes, nullptr);
   EXPECT_EQ(loaded.document->NumNodes(), doc->NumNodes());
   EXPECT_EQ(loaded.document->StringValue(0), doc->StringValue(0));
@@ -363,10 +336,10 @@ TEST(SnapshotCorruption, WrongMagicVersionEndianLayoutDetected) {
   mutate([](SnapshotHeader* h) { h->arch_bits ^= 96; }, "arch width");
   mutate([](SnapshotHeader* h) { h->node_record_size += 4; },
          "node record layout");
-  mutate([](SnapshotHeader* h) { h->token_size += 4; }, "token layout");
   mutate([](SnapshotHeader* h) { h->file_size += 8; }, "file size");
   mutate([](SnapshotHeader* h) { h->section_count += 1; }, "section count");
   mutate([](SnapshotHeader* h) { h->flags = 0xff; }, "unknown flags");
+  mutate([](SnapshotHeader* h) { h->reserved = 1; }, "reserved field");
 }
 
 TEST(SnapshotCorruption, ForgedSectionTableRejected) {
@@ -607,40 +580,88 @@ TEST(EngineSnapshot, StaleSnapshotIsReplacedNotServed) {
             storage::HashContent("<r><a/><a/><a/></r>"));
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes;
+  bytes.resize(std::filesystem::file_size(path));
+  FILE* in = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), in), bytes.size());
+  std::fclose(in);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  FILE* out = std::fopen(path.c_str(), "wb");
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+  std::fclose(out);
+}
+
 TEST(EngineSnapshot, CorruptSnapshotDegradesToReingest) {
-  std::string dir = FreshDir("xqp_snap_engine_corrupt");
-  EngineOptions opts;
-  opts.snapshot_dir = dir;
-  opts.collect_stats = true;
-  {
-    XQueryEngine writer(opts);
-    XQP_ASSERT_OK(writer.ParseAndRegister("bib.xml", kXml).status());
+  struct Damage {
+    const char* what;
+    void (*apply)(std::string* bytes);
+  };
+  const Damage damages[] = {
+      {"rotted byte",
+       [](std::string* bytes) { (*bytes)[bytes->size() / 2] ^= 0x10; }},
+      // A well-formed file of the previous format: only the version
+      // differs, and the header CRC is valid for it.
+      {"version-1 header",
+       [](std::string* bytes) {
+         SnapshotHeader h = ReadHeader(*bytes);
+         h.version = 1;
+         h.header_crc = 0;
+         h.header_crc = storage::Crc32c(&h, sizeof(h));
+         std::memcpy(bytes->data(), &h, sizeof(h));
+       }},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.what);
+    std::string dir = FreshDir("xqp_snap_engine_corrupt");
+    EngineOptions opts;
+    opts.snapshot_dir = dir;
+    opts.collect_stats = true;
+    {
+      XQueryEngine writer(opts);
+      XQP_ASSERT_OK(writer.ParseAndRegister("bib.xml", kXml).status());
+    }
+    XQueryEngine reader(opts);
+    const std::string path = reader.SnapshotPathFor("bib.xml");
+    std::string bytes = ReadFileBytes(path);
+    damage.apply(&bytes);
+    WriteFileBytes(path, bytes);
+
+    metrics::MetricsSnapshot before =
+        metrics::MetricsRegistry::Global().Snapshot();
+    XQP_ASSERT_OK(reader.ParseAndRegister("bib.xml", kXml).status());
+    XQP_ASSERT_OK_AND_ASSIGN(Sequence r,
+                             reader.Execute("count(doc('bib.xml')//book)"));
+    EXPECT_EQ(r[0].AsAtomic().Lexical(), "3");
+    metrics::MetricsSnapshot delta =
+        metrics::MetricsRegistry::Global().Snapshot().Delta(before);
+    EXPECT_EQ(delta.counters["storage.corrupt"], 1u);
+    EXPECT_EQ(delta.counters["storage.loads"], 0u);
+    EXPECT_EQ(delta.counters["storage.saves"], 1u);  // Repaired on the way.
+    // The rewritten snapshot is a valid current-version file...
+    XQP_ASSERT_OK(storage::OpenSnapshot(path).status());
+    EXPECT_EQ(ReadHeader(ReadFileBytes(path)).version,
+              storage::kSnapshotVersion);
+
+    // ...that the next engine adopts instead of parsing.
+    XQueryEngine next(opts);
+    before = metrics::MetricsRegistry::Global().Snapshot();
+    XQP_ASSERT_OK(next.ParseAndRegister("bib.xml", kXml).status());
+    delta = metrics::MetricsRegistry::Global().Snapshot().Delta(before);
+    EXPECT_EQ(delta.counters["storage.loads"], 1u);
+    EXPECT_EQ(delta.counters["storage.corrupt"], 0u);
+    for (const char* q : {"count(doc('bib.xml')//book)",
+                          "doc('bib.xml')//book[@year > 1995]"}) {
+      XQP_ASSERT_OK_AND_ASSIGN(std::string want,
+                               reader.Compile(q).value()->ExecuteToXml());
+      XQP_ASSERT_OK_AND_ASSIGN(std::string got,
+                               next.Compile(q).value()->ExecuteToXml());
+      EXPECT_EQ(got, want) << q;
+    }
   }
-  XQueryEngine reader(opts);
-  std::string path = reader.SnapshotPathFor("bib.xml");
-  // Rot a byte in the middle of the file.
-  {
-    std::string bytes;
-    bytes.resize(std::filesystem::file_size(path));
-    FILE* in = std::fopen(path.c_str(), "rb");
-    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), in), bytes.size());
-    std::fclose(in);
-    bytes[bytes.size() / 2] ^= 0x10;
-    FILE* out = std::fopen(path.c_str(), "wb");
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
-    std::fclose(out);
-  }
-  metrics::MetricsSnapshot before = metrics::MetricsRegistry::Global().Snapshot();
-  XQP_ASSERT_OK(reader.ParseAndRegister("bib.xml", kXml).status());
-  XQP_ASSERT_OK_AND_ASSIGN(Sequence r,
-                           reader.Execute("count(doc('bib.xml')//book)"));
-  EXPECT_EQ(r[0].AsAtomic().Lexical(), "3");
-  metrics::MetricsSnapshot delta =
-      metrics::MetricsRegistry::Global().Snapshot().Delta(before);
-  EXPECT_EQ(delta.counters["storage.corrupt"], 1u);
-  EXPECT_EQ(delta.counters["storage.saves"], 1u);  // Repaired on the way out.
-  // The rewritten snapshot is valid again.
-  XQP_ASSERT_OK(storage::OpenSnapshot(path).status());
 }
 
 TEST(EngineSnapshot, LoadDocumentSnapshotFallsBackOnMissingFile) {
@@ -669,10 +690,28 @@ TEST(EngineSnapshot, SaveSnapshotThenLoadDocumentSnapshot) {
   XQP_ASSERT_OK_AND_ASSIGN(Sequence r,
                            b.Execute("count(doc('bib.xml')//book)"));
   EXPECT_EQ(r[0].AsAtomic().Lexical(), "3");
-  // The explicit save carried the token stream.
-  XQP_ASSERT_OK_AND_ASSIGN(LoadedSnapshot snap, storage::OpenSnapshot(path));
-  EXPECT_NE(snap.tokens, nullptr);
-  EXPECT_GT(snap.tokens->size(), 0u);
+  // The explicit save holds the document and its indexes, nothing else...
+  const std::string bytes = ReadFileBytes(path);
+  EXPECT_EQ(ReadHeader(bytes).flags, storage::kFlagHasIndexes);
+  std::vector<uint32_t> ids;
+  for (const SectionEntry& e : ReadTable(bytes)) ids.push_back(e.id);
+  std::vector<uint32_t> want;
+  for (SectionId id :
+       {SectionId::kNodes, SectionId::kNames, SectionId::kPoolIndex,
+        SectionId::kPoolArena, SectionId::kNsDecls, SectionId::kBaseUri,
+        SectionId::kSynopsis, SectionId::kPostingsOffsets,
+        SectionId::kPostingsData, SectionId::kValues}) {
+    want.push_back(static_cast<uint32_t>(id));
+  }
+  EXPECT_EQ(ids, want);
+  // ...so it is the same format, and size, as the ParseAndRegister
+  // write-back of the same document under the same options.
+  EngineOptions persisting;
+  persisting.snapshot_dir = dir;
+  XQueryEngine c(persisting);
+  XQP_ASSERT_OK(c.ParseAndRegister("bib.xml", kXml).status());
+  EXPECT_EQ(std::filesystem::file_size(c.SnapshotPathFor("bib.xml")),
+            bytes.size());
 }
 
 TEST(EngineSnapshot, SnapshotPathsAreDistinctAndSafe) {

@@ -41,7 +41,7 @@ inline std::string RunQuery(const std::string& query,
   auto compiled = engine.Compile(query, copts);
   if (!compiled.ok()) return "COMPILE-ERROR: " + compiled.status().ToString();
   CompiledQuery::ExecOptions eopts;
-  eopts.use_lazy_engine = use_lazy;
+  eopts.backend = use_lazy ? ExecBackend::kLazy : ExecBackend::kEager;
   auto result = (*compiled)->ExecuteToXml(eopts);
   if (!result.ok()) return "ERROR: " + result.status().ToString();
   return *result;
@@ -56,6 +56,66 @@ inline std::string RunAllWays(const std::string& query,
   EXPECT_EQ(base, RunQuery(query, doc_xml, false, true)) << query;
   EXPECT_EQ(base, RunQuery(query, doc_xml, true, true)) << query;
   return base;
+}
+
+/// One Execute() of `query` on a fresh engine whose access-path dispatcher
+/// is forced to `force` (`xml`, when non-empty, registered as `uri`): the
+/// serialized result plus the dispatcher's counters over the run.
+struct ForcedPathRun {
+  std::string result;
+  uint64_t twig = 0;     // planner.twig: holistic twig joins that answered.
+  uint64_t planned = 0;  // planner.{sjoin,twig,index}: non-nav plans run.
+};
+
+inline ForcedPathRun RunWithForcedPath(const std::string& query,
+                                       AccessPath force,
+                                       const std::string& uri = "",
+                                       const std::string& xml = "") {
+  EngineOptions options;
+  options.force_access_path = force;
+  XQueryEngine engine(options);
+  if (!xml.empty()) {
+    auto doc = engine.ParseAndRegister(uri, xml);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  }
+  auto& registry = metrics::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const metrics::MetricsSnapshot before = registry.Snapshot();
+  ForcedPathRun run;
+  auto compiled = engine.Compile(query);
+  if (!compiled.ok()) {
+    run.result = "COMPILE-ERROR: " + compiled.status().ToString();
+  } else {
+    auto result = (*compiled)->ExecuteToXml();
+    run.result = result.ok() ? *result : "ERROR: " + result.status().ToString();
+  }
+  metrics::MetricsSnapshot delta = registry.Snapshot().Delta(before);
+  registry.set_enabled(was_enabled);
+  run.twig = delta.counters["planner.twig"];
+  run.planned = delta.counters["planner.sjoin"] + run.twig +
+                delta.counters["planner.index"];
+  return run;
+}
+
+/// Runs `query` with each of nav, sjoin and twig forced and expects the
+/// auto plan's bytes every time. A linear `chain` must be answered by the
+/// twig join when twig is forced; anything else must not be planned at all.
+inline void ExpectForcedPathsAgree(const std::string& query, bool chain,
+                                   const std::string& uri = "",
+                                   const std::string& xml = "") {
+  const ForcedPathRun want =
+      RunWithForcedPath(query, AccessPath::kAuto, uri, xml);
+  for (AccessPath force :
+       {AccessPath::kNav, AccessPath::kSJoin, AccessPath::kTwig}) {
+    const ForcedPathRun got = RunWithForcedPath(query, force, uri, xml);
+    EXPECT_EQ(got.result, want.result) << query << " " << AccessPathName(force);
+    if (!chain) {
+      EXPECT_EQ(got.planned, 0u) << query << " " << AccessPathName(force);
+    } else if (force == AccessPath::kTwig) {
+      EXPECT_GE(got.twig, 1u) << query;
+    }
+  }
 }
 
 /// Deterministic random XML tree for property tests: elements drawn from a

@@ -805,9 +805,13 @@ TEST(VmBackend, PerCallOverrideWinsOverEngineDefault) {
   CompiledQuery::ExecOptions eager;
   eager.backend = ExecBackend::kEager;
   EXPECT_EQ(compiled.value()->ResolvedBackend(eager), ExecBackend::kEager);
-  CompiledQuery::ExecOptions legacy;
-  legacy.use_lazy_engine = false;
-  EXPECT_EQ(compiled.value()->ResolvedBackend(legacy), ExecBackend::kEager);
+  // A lazy lane must say so: the engine default (vm here) never stands in.
+  CompiledQuery::ExecOptions lazy;
+  lazy.backend = ExecBackend::kLazy;
+  EXPECT_EQ(compiled.value()->ResolvedBackend(lazy), ExecBackend::kLazy);
+  XQP_ASSERT_OK_AND_ASSIGN(ProfileReport report,
+                           compiled.value()->Profile(lazy));
+  EXPECT_EQ(report.backend, ExecBackend::kLazy);
   EXPECT_EQ(compiled.value()->ResolvedBackend(CompiledQuery::ExecOptions()),
             ExecBackend::kVm);
 }

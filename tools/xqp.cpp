@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   }
 
   CompiledQuery::ExecOptions eopts;
-  eopts.use_lazy_engine = !eager;
+  if (eager) eopts.backend = ExecBackend::kEager;
   if (bind_context && context_doc != nullptr) {
     eopts.has_context_item = true;
     eopts.context_item = Item(Node(context_doc, 0));

@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
   }
 
   xqp::CompiledQuery::ExecOptions exec;
-  exec.use_lazy_engine = !eager;
   exec.backend = backend;
+  if (eager && !backend.has_value()) exec.backend = xqp::ExecBackend::kEager;
 
   if (explain_only) {
     std::printf("backend: %s\n", xqp::ExecBackendName(
