@@ -48,21 +48,65 @@ Status AppendContentPart(DocumentBuilder* builder, const Sequence& part,
   return flush();
 }
 
+Status PartsMismatch() {
+  return Status::Internal("element constructor parts do not match its inputs");
+}
+
+bool IsInlineAttribute(const Expr& child) {
+  return child.kind() == ExprKind::kAttributeCtor &&
+         !static_cast<const AttributeCtorExpr&>(child).computed_name;
+}
+
 }  // namespace
 
-Result<Item> Element(const QName& name,
-                     const std::vector<ElementCtorExpr::NsDecl>& ns_decls,
-                     const std::vector<Sequence>& content_parts,
-                     DynamicContext* ctx) {
+std::vector<const Expr*> Inputs(const Expr& ctor) {
+  const size_t content_start =
+      ctor.kind() == ExprKind::kElementCtor
+          ? static_cast<const ElementCtorExpr&>(ctor).ContentStart()
+          : ctor.NumChildren();  // Only elements have inline attributes.
+  std::vector<const Expr*> inputs;
+  inputs.reserve(ctor.NumChildren());
+  for (size_t i = 0; i < ctor.NumChildren(); ++i) {
+    const Expr* child = ctor.child(i);
+    if (i >= content_start && IsInlineAttribute(*child)) {
+      for (size_t j = 0; j < child->NumChildren(); ++j) {
+        inputs.push_back(child->child(j));
+      }
+    } else {
+      inputs.push_back(child);
+    }
+  }
+  return inputs;
+}
+
+Result<Item> Element(const ElementCtorExpr& ctor, const QName& name,
+                     std::span<const Sequence> parts, DynamicContext* ctx) {
   DocumentBuilder builder;
   XQP_RETURN_NOT_OK(builder.BeginElement(name));
-  for (const auto& d : ns_decls) {
+  for (const auto& d : ctor.ns_decls) {
     XQP_RETURN_NOT_OK(builder.NamespaceDecl(d.prefix, d.uri));
   }
-  for (const Sequence& part : content_parts) {
-    XQP_RETURN_NOT_OK(AppendContentPart(&builder, part,
-                                        /*allow_attributes=*/true));
+  size_t next = 0;  // First part of the current content child.
+  for (size_t i = ctor.ContentStart(); i < ctor.NumChildren(); ++i) {
+    const Expr& child = *ctor.child(i);
+    const size_t width = IsInlineAttribute(child) ? child.NumChildren() : 1;
+    if (width > parts.size() - next) return PartsMismatch();
+    if (IsInlineAttribute(child)) {
+      // Same value joining as Attribute(); the builder's duplicate and
+      // ordering checks give the errors copying the node would.
+      std::string value;
+      for (const Sequence& part : parts.subspan(next, width)) {
+        value += AtomizedString(part);
+      }
+      XQP_RETURN_NOT_OK(builder.Attribute(
+          static_cast<const AttributeCtorExpr&>(child).name, value));
+    } else {
+      XQP_RETURN_NOT_OK(AppendContentPart(&builder, parts[next],
+                                          /*allow_attributes=*/true));
+    }
+    next += width;
   }
+  if (next != parts.size()) return PartsMismatch();
   XQP_RETURN_NOT_OK(builder.EndElement());
   XQP_ASSIGN_OR_RETURN(std::shared_ptr<Document> doc, builder.Finish());
   if (ctx != nullptr) {

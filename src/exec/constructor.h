@@ -1,6 +1,7 @@
 #ifndef XQP_EXEC_CONSTRUCTOR_H_
 #define XQP_EXEC_CONSTRUCTOR_H_
 
+#include <span>
 #include <vector>
 
 #include "exec/dynamic_context.h"
@@ -15,14 +16,21 @@ namespace xqp {
 /// expression with single spaces, per the XQuery constructor rules.
 namespace construct {
 
-/// Builds an element node. `content_parts` holds the evaluated value of
-/// each content child in order (attribute items must come first within the
-/// concatenation). Returns the new element as an item rooted in a fresh
-/// document.
-Result<Item> Element(const QName& name,
-                     const std::vector<ElementCtorExpr::NsDecl>& ns_decls,
-                     const std::vector<Sequence>& content_parts,
-                     DynamicContext* ctx);
+/// The expressions a backend evaluates for the constructor `ctor`, in
+/// order: its children (a computed name first), except that an element's
+/// inline attributes are replaced by their value parts (their own
+/// children). An inline attribute is a content child that is an attribute
+/// constructor with a static name, such as the direct attribute in
+/// `<a b="x{$v}"/>`; Element builds it inside the element's own document
+/// instead of building a parentless attribute node and copying it.
+std::vector<const Expr*> Inputs(const Expr& ctor);
+
+/// Builds an element node for `ctor` named `name`. `parts` holds the
+/// values of Inputs(ctor) past the computed name, in order.
+/// Attribute items must come first within the content. Returns the new
+/// element as an item rooted in a fresh document.
+Result<Item> Element(const ElementCtorExpr& ctor, const QName& name,
+                     std::span<const Sequence> parts, DynamicContext* ctx);
 
 /// Builds a parentless attribute node.
 Result<Item> Attribute(const QName& name,

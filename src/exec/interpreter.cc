@@ -604,20 +604,21 @@ Result<Sequence> Interpreter::EvalCall(const FunctionCallExpr* e) {
 }
 
 Result<Sequence> Interpreter::EvalElementCtor(const ElementCtorExpr* e) {
+  std::vector<const Expr*> inputs = construct::Inputs(*e);
   QName name = e->name;
   size_t start = 0;
   if (e->computed_name) {
-    XQP_ASSIGN_OR_RETURN(Sequence name_v, Eval(e->child(0)));
+    XQP_ASSIGN_OR_RETURN(Sequence name_v, Eval(inputs[0]));
     XQP_ASSIGN_OR_RETURN(name, ComputedName(name_v));
     start = 1;
   }
   std::vector<Sequence> parts;
-  for (size_t i = start; i < e->NumChildren(); ++i) {
-    XQP_ASSIGN_OR_RETURN(Sequence part, Eval(e->child(i)));
+  parts.reserve(inputs.size() - start);
+  for (size_t i = start; i < inputs.size(); ++i) {
+    XQP_ASSIGN_OR_RETURN(Sequence part, Eval(inputs[i]));
     parts.push_back(std::move(part));
   }
-  XQP_ASSIGN_OR_RETURN(Item item,
-                       construct::Element(name, e->ns_decls, parts, ctx_));
+  XQP_ASSIGN_OR_RETURN(Item item, construct::Element(*e, name, parts, ctx_));
   return Sequence{std::move(item)};
 }
 

@@ -790,9 +790,9 @@ class CtorIt : public ComputeOnceIt {
   CtorIt(const Expr* e, const LazyFocus* focus) : e_(e), focus_(focus) {}
 
   Status Init() {
-    for (size_t i = 0; i < e_->NumChildren(); ++i) {
+    for (const Expr* input : construct::Inputs(*e_)) {
       XQP_ASSIGN_OR_RETURN(std::unique_ptr<ItemIterator> child,
-                           CompileIterator(e_->child(i), focus_));
+                           CompileIterator(input, focus_));
       children_.push_back(std::move(child));
     }
     return Status::OK();
@@ -822,11 +822,10 @@ class CtorIt : public ComputeOnceIt {
           XQP_ASSIGN_OR_RETURN(name, ComputedName(parts[0]));
           start = 1;
         }
-        std::vector<Sequence> content(
-            std::make_move_iterator(parts.begin() + start),
-            std::make_move_iterator(parts.end()));
         XQP_ASSIGN_OR_RETURN(
-            Item item, construct::Element(name, ctor->ns_decls, content, ctx_));
+            Item item, construct::Element(*ctor, name,
+                                          std::span(parts).subspan(start),
+                                          ctx_));
         return Sequence{std::move(item)};
       }
       case ExprKind::kAttributeCtor: {

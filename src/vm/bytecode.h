@@ -71,10 +71,11 @@ enum class Op : uint8_t {
   kAccessExec,       // Same operands/behavior as kIndexProbe, emitted for
                      //   predicate-free chains where the full strategy
                      //   dispatch (nav/sjoin/twig/index) applies.
-  kConstructElem,    // a = ctor-plan index, b = evaluated child count. Pop b
+  kConstructElem,    // a = ctor-plan index, b = evaluated input count. Pop b
                      //   sequences (the computed name first when the plan's
                      //   expression has one, then the content parts in
-                     //   order), assemble the element in a scratch
+                     //   order, an inline attribute's value parts standing
+                     //   in for it), assemble the element in a scratch
                      //   DocumentBuilder via the shared construct::Element
                      //   (identical namespace handling, whitespace joining,
                      //   governor byte charges, and error strings in every

@@ -169,9 +169,8 @@ class Vm {
     }
     XQP_ASSIGN_OR_RETURN(
         Item built,
-        is_elem ? construct::Element(
-                      name, static_cast<const ElementCtorExpr*>(ce)->ns_decls,
-                      parts_, ctx_)
+        is_elem ? construct::Element(*static_cast<const ElementCtorExpr*>(ce),
+                                     name, parts_, ctx_)
                 : construct::Attribute(name, parts_, ctx_));
     *sp -= n;
     Sequence& dst = stack[(*sp)++];

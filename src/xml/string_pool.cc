@@ -8,10 +8,13 @@ namespace xqp {
 std::string_view StringPool::Append(std::string_view s) {
   if (s.empty()) return std::string_view();
   if (s.size() > chunk_cap_ - chunk_used_) {
-    // Strings wider than a chunk get a dedicated one; the abandoned tail of
-    // the previous chunk is bounded by one chunk per oversized string.
-    size_t cap = std::max(s.size(), kChunkBytes);
-    chunks_.push_back(std::make_unique<char[]>(cap));
+    // Strings wider than the next chunk get a dedicated one. The schedule
+    // advances either way, so a run of wide strings cannot keep the pool
+    // on small chunks. Chunks are left uninitialized: every byte handed
+    // out is written by the memcpy below first.
+    size_t cap = std::max(s.size(), next_chunk_);
+    next_chunk_ = std::min(next_chunk_ * 2, kChunkBytes);
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(cap));
     retired_bytes_ += chunk_used_;
     chunk_cap_ = cap;
     chunk_used_ = 0;
@@ -54,6 +57,7 @@ void StringPool::AdoptFrozen(std::vector<std::string_view> views) {
   chunks_.clear();
   chunk_cap_ = 0;
   chunk_used_ = 0;
+  next_chunk_ = kFirstChunkBytes;
   retired_bytes_ = 0;
   index_.clear();
   frozen_bytes_ = 0;

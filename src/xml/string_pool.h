@@ -17,7 +17,15 @@ class SnapshotLoader;
 /// and referenced by a dense 32-bit id ("Pooling: store strings only once",
 /// the TokenStream optimization in the paper). Ids are stable for the
 /// lifetime of the pool; returned string_views remain valid as well because
-/// the backing storage is a bump arena of fixed chunks that never relocate.
+/// the backing storage is a bump arena of chunks that never relocate.
+///
+/// Chunks grow geometrically: the first holds kFirstChunkBytes and each
+/// later one doubles, up to kChunkBytes. Every node constructor builds its
+/// own small Document, so a pool that opened with a full bulk-load chunk
+/// would charge each constructed node a 64 KiB allocation; a parsed
+/// document reaches the 64 KiB steady state after about 64 KiB of strings.
+/// A string wider than the next chunk gets a dedicated chunk of exactly its
+/// size.
 ///
 /// Intern is a single hash probe: the candidate bytes are appended to the
 /// arena first, then try_emplace'd into the index keyed by the arena copy;
@@ -75,12 +83,14 @@ class StringPool {
   /// Copies `s` to the arena tail and returns the stable stored view.
   std::string_view Append(std::string_view s);
 
+  static constexpr size_t kFirstChunkBytes = 256;
   static constexpr size_t kChunkBytes = 64 * 1024;
 
   std::vector<std::unique_ptr<char[]>> chunks_;
   size_t chunk_cap_ = 0;        // Capacity of chunks_.back(); 0 when empty.
   size_t chunk_used_ = 0;       // Bytes written into chunks_.back().
-  size_t retired_bytes_ = 0;    // Sum of capacities of all full chunks.
+  size_t next_chunk_ = kFirstChunkBytes;  // Capacity of the next chunk.
+  size_t retired_bytes_ = 0;    // Bytes written into all earlier chunks.
   std::vector<std::string_view> views_;
   std::unordered_map<std::string_view, Id> index_;
   bool pooling_enabled_ = true;

@@ -780,5 +780,270 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValueJoinDifferentialTest,
                          ::testing::Values(31, 32, 33, 34, 35, 36, 37, 38,
                                            39, 40));
 
+// --- Constructor differential suite ---------------------------------------
+//
+// Element constructors with direct attributes, which construct::Element
+// builds inside the element's own document, next to computed and copied
+// attributes, which still go through a parentless attribute node. Every
+// generated query runs on every backend, optimized and not, on a parsed and
+// a snapshot-loaded document, and under an allocation fault sweep, a
+// memory budget and a result cap. Queries that deliberately clash carry
+// their expected error text, an oracle independent of the engine.
+
+/// A generated constructor query, its copy-path twin and, when it clashes,
+/// the exact error message every backend must fail with. The twin builds
+/// each direct attribute as a computed attribute inside a sequence, which
+/// construct::Element copies from a parentless attribute node instead of
+/// building in place; both must serialize identically.
+struct CtorCase {
+  std::string query;
+  std::string twin;
+  std::optional<std::string> error;
+};
+
+CtorCase RandomCtorCase(SplitMix64* rng) {
+  // An attribute value: its direct (attribute value template) spelling
+  // and an equivalent XQuery string expression.
+  struct Value {
+    std::string avt;
+    std::string expr;
+  };
+  // One enclosed expression: its items' lexical forms joined by spaces.
+  auto enclosed = [&]() -> Value {
+    static constexpr const char* kExprs[] = {
+        "()",                     // Empty.
+        "$n/@missing",            // Empty path.
+        "($n/@k, name($n), 7)",   // Multi-item: joined by spaces.
+        "$n/*",                   // Element nodes: their string values.
+        "$n",
+        "count($n/*)",
+        "$n/@k",                  // An attribute node, atomized.
+    };
+    std::string e = kExprs[rng->Below(7)];
+    return {"{" + e + "}",
+            "string-join(for $x in " + e + " return string($x), ' ')"};
+  };
+  auto value = [&]() -> Value {
+    switch (rng->Below(5)) {
+      case 0:
+        return {"lit", "'lit'"};
+      case 1:
+        return {"", "''"};
+      case 2:
+        return enclosed();
+      case 3: {
+        Value e = enclosed();  // Mixed literal and enclosed parts.
+        return {"x" + e.avt + "y", "concat('x', " + e.expr + ", 'y')"};
+      }
+      default: {
+        Value a = enclosed();
+        Value b = enclosed();
+        return {a.avt + "-" + b.avt,
+                "concat(" + a.expr + ", '-', " + b.expr + ")"};
+      }
+    }
+  };
+  static constexpr const char* kNames[] = {"p", "q", "r", "s"};
+  size_t num_attrs = rng->Below(4);
+  std::string attrs;
+  std::string twin_attrs;
+  auto add_attr = [&](const std::string& name, const Value& v) {
+    attrs += " " + name + "=\"" + v.avt + "\"";
+    twin_attrs += "attribute " + name + " {" + v.expr + "}, ";
+  };
+  for (size_t i = 0; i < num_attrs; ++i) add_attr(kNames[i], value());
+
+  CtorCase c;
+  std::string content;
+  switch (rng->Below(num_attrs == 0 ? 6 : 9)) {
+    case 0:
+      break;
+    case 1:
+      content = "{count($n/*)}";
+      break;
+    case 2:
+      content = "{$n/@k}";  // Copies the source attribute, when present.
+      break;
+    case 3:
+      content = "<w t=\"{name($n)}\">{$n/@k, string($n)}</w>";
+      break;
+    case 4:
+      content = "{attribute s {name($n)}}";  // Static name: built in place.
+      break;
+    case 5:
+      // Computed attribute after text: the ordering error.
+      content = "t{attribute {'s'} {1}}";
+      c.error = "attribute \"s\" constructed after non-attribute content "
+                "of element";
+      break;
+    case 6:
+      // Same name as a direct attribute, built in place.
+      content = "{attribute p {name($n)}}";
+      c.error = "duplicate attribute: p";
+      break;
+    case 7:
+      // Same name, computed: copied from a parentless attribute node.
+      content = "{attribute {concat('', 'p')} {1}}";
+      c.error = "duplicate attribute: p";
+      break;
+    default:
+      // Same name, static but inside a sequence: also copied.
+      content = "{(attribute p {2}, ())}";
+      c.error = "duplicate attribute: p";
+      break;
+  }
+  if (!c.error && num_attrs >= 2 && rng->Below(4) == 0) {
+    add_attr("q", {"dup", "'dup'"});  // Two direct attributes, one name.
+    c.error = "duplicate attribute: q";
+  }
+
+  std::string tag(1, static_cast<char>('a' + rng->Below(4)));
+  std::string domain = "(doc('doc.xml')//" + tag + ")[position() <= 4]";
+  const uint64_t shape = rng->Below(3);
+  auto wrap = [&](const std::string& ctor) {
+    switch (shape) {
+      case 0:
+        return "for $n in " + domain + " return " + ctor;
+      case 1:
+        return "for $n in " + domain + " return <o n=\"{name($n)}\">" +
+               ctor + "</o>";
+      default:
+        return "string-join(for $n in " + domain + " return string-join("
+               "for $a in " + ctor + "/@* return concat(name($a), '=', "
+               "string($a)), ';'), '|')";
+    }
+  };
+  c.query = wrap("<v" + attrs + ">" + content + "</v>");
+  c.twin = wrap("<v>{(" + twin_attrs + "())}" + content + "</v>");
+  return c;
+}
+
+class ConstructorDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(ConstructorDifferentialTest, InPlaceAttributesAgreeEverywhere) {
+  SplitMix64 rng(GetParam() * 104729 + 3);
+  std::string xml = RandomXml(GetParam() * 17 + 5, 120, 4);
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("doc.xml", xml).status());
+
+  std::string snap_path = ::testing::TempDir() + "/xqp_ctor_" +
+                          std::to_string(GetParam()) + ".xqps";
+  {
+    auto doc = Document::Parse(xml).ValueOrDie();
+    auto indexes = DocumentIndexes::Build(doc, kIndexValueAll).ValueOrDie();
+    storage::SnapshotInput input;
+    input.doc = doc.get();
+    input.indexes = indexes.get();
+    XQP_ASSERT_OK(storage::WriteSnapshotFile(snap_path, input));
+  }
+  XQueryEngine snapped;
+  XQP_ASSERT_OK(snapped.LoadDocumentSnapshot("doc.xml", snap_path).status());
+
+  XQueryEngine::CompileOptions no_opt;
+  no_opt.optimize = false;
+  std::vector<CompiledQuery::ExecOptions> backends(3);
+  backends[0].backend = ExecBackend::kLazy;
+  backends[1].backend = ExecBackend::kEager;
+  backends[2].backend = ExecBackend::kVm;
+
+  for (int q = 0; q < 16; ++q) {
+    CtorCase c = RandomCtorCase(&rng);
+    const std::string& query = c.query;
+    auto reference = engine.Compile(query, no_opt);
+    ASSERT_TRUE(reference.ok()) << query << ": "
+                                << reference.status().ToString();
+    auto want = reference.value()->ExecuteToXml(backends[1]);
+    // The engine-independent oracle: clashes fail with their own message.
+    ASSERT_EQ(want.ok(), !c.error.has_value())
+        << query << " -> "
+        << (want.ok() ? want.value() : want.status().ToString());
+    if (!want.ok()) {
+      EXPECT_EQ(want.status().code(), StatusCode::kDynamicError) << query;
+      EXPECT_EQ(want.status().message(), *c.error) << query;
+    }
+    auto same = [&](const Result<std::string>& got, const std::string& what) {
+      ASSERT_EQ(got.ok(), want.ok()) << query << " (" << what << ")";
+      if (want.ok()) {
+        EXPECT_EQ(got.value(), want.value()) << query << " (" << what << ")";
+      } else {
+        EXPECT_EQ(got.status().code(), want.status().code()) << query;
+        EXPECT_EQ(got.status().message(), want.status().message())
+            << query << " (" << what << ")";
+      }
+    };
+
+    auto optimized = engine.Compile(query);
+    ASSERT_TRUE(optimized.ok()) << query;
+    auto snap = snapped.Compile(query);
+    ASSERT_TRUE(snap.ok()) << query;
+    auto twin = engine.Compile(c.twin);
+    ASSERT_TRUE(twin.ok()) << c.twin << ": " << twin.status().ToString();
+    for (const CompiledQuery::ExecOptions& exec : backends) {
+      const std::string name = ExecBackendName(*exec.backend);
+      same(reference.value()->ExecuteToXml(exec), name + ", unoptimized");
+      same(optimized.value()->ExecuteToXml(exec), name + ", optimized");
+      same(snap.value()->ExecuteToXml(exec), name + ", snapshot twin");
+      same(twin.value()->ExecuteToXml(exec), name + ", copy-path twin " +
+                                                 c.twin);
+    }
+
+    // Allocation faults: every node the constructors build passes the
+    // "alloc" site in the same order on every backend, so the nth hit
+    // fails all three alike, and past the last hit all three run clean.
+    for (uint64_t nth = 1; nth <= 24; ++nth) {
+      std::vector<bool> fired;
+      for (const CompiledQuery::ExecOptions& exec : backends) {
+        fault::ScopedFault f("alloc", nth, StatusCode::kInternal);
+        auto got = optimized.value()->ExecuteToXml(exec);
+        fired.push_back(!fault::Armed());
+        if (fault::Armed()) {
+          same(got, "alloc #" + std::to_string(nth) + " not reached");
+        } else {
+          ASSERT_FALSE(got.ok()) << query << " alloc #" << nth;
+          EXPECT_EQ(got.status().code(), StatusCode::kInternal)
+              << query << " alloc #" << nth;
+        }
+      }
+      EXPECT_EQ(fired[0], fired[1]) << query << " alloc #" << nth;
+      EXPECT_EQ(fired[0], fired[2]) << query << " alloc #" << nth;
+    }
+
+    // Governance. Backends charge different working sets to a memory
+    // budget, so under a tight one each either returns the reference
+    // result or fails with the governor's code (or the query's own clash,
+    // if that comes first). A result cap trips identically on lazy and vm.
+    for (int limit = 0; limit < 2; ++limit) {
+      std::vector<Result<std::string>> runs;
+      for (CompiledQuery::ExecOptions exec : backends) {
+        if (limit == 0) {
+          exec.limits.memory_budget_bytes = 2048;
+        } else {
+          exec.limits.max_result_items = 2;
+        }
+        runs.push_back(optimized.value()->ExecuteToXml(exec));
+      }
+      for (const Result<std::string>& r : runs) {
+        if (r.ok()) {
+          same(r, "under limit " + std::to_string(limit));
+        } else if (want.ok() || r.status().message() != *c.error) {
+          EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+              << query << " limit " << limit << ": " << r.status().ToString();
+        }
+      }
+      if (limit == 1) {
+        ASSERT_EQ(runs[0].ok(), runs[2].ok()) << query;
+        if (!runs[0].ok()) {
+          EXPECT_EQ(runs[0].status().ToString(), runs[2].status().ToString())
+              << query;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConstructorDifferentialTest,
+                         ::testing::Values(41, 42, 43, 44, 45, 46, 47, 48));
+
 }  // namespace
 }  // namespace xqp

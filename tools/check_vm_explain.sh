@@ -10,7 +10,7 @@ set -euo pipefail
 
 PROFILE="${1:?usage: check_vm_explain.sh <path-to-xqp_profile>}"
 
-QUERY_IDS=(Q06 Q07)
+QUERY_IDS=(Q06 Q07 Q17 Q19)
 JOIN_QUERY_IDS=(Q08 Q09 Q10 Q11 Q12)
 TEXT_SHAPES=(
   "doc('xmark.xml')/site/people/person[@id = 'person0']/name"

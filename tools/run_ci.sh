@@ -4,8 +4,9 @@
 # carrying the `tsan` ctest label — the parallel join kernels and the
 # lock-free metrics/profile subsystem), and an ASan+UBSan build of the
 # suite that leans hardest on error paths and object lifetimes (the
-# `asan` label: the robustness/governance tests, the VM and value-join
-# differential suites, plus the fuzz smoke drivers).
+# `asan` label: the string pool's arena, the robustness/governance tests,
+# the VM, value-join and constructor differential suites, plus the fuzz
+# smoke drivers).
 #
 # Usage: tools/run_ci.sh [release-build-dir] [tsan-build-dir] [asan-build-dir]
 #   Defaults: build, build-tsan, build-asan. The trees are kept separate so
@@ -71,9 +72,9 @@ cmake -B "$ASAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DXQP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" \
-  --target test_robustness test_ingest test_index test_vm test_planner \
-  test_storage test_differential fuzz_pull_parser fuzz_query_parser \
-  fuzz_snapshot \
+  --target test_string_pool test_robustness test_ingest test_index \
+  test_vm test_planner test_storage test_differential fuzz_pull_parser \
+  fuzz_query_parser fuzz_snapshot \
   -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
