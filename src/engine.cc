@@ -447,6 +447,13 @@ Result<std::shared_ptr<const TagIndex>> XQueryEngine::GetTagIndex(
   return it->second;
 }
 
+std::shared_ptr<const TagIndex> XQueryEngine::PeekTagIndex(
+    const std::string& uri) const {
+  std::shared_lock lock(mu_);
+  auto cached = tag_indexes_.find(uri);
+  return cached == tag_indexes_.end() ? nullptr : cached->second;
+}
+
 Result<std::shared_ptr<const DocumentIndexes>>
 XQueryEngine::GetDocumentIndexes(const std::string& uri) {
   if (!options_.enable_indexes) {

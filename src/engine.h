@@ -262,6 +262,8 @@ class XQueryEngine : public DocumentProvider {
   /// sjoin/twig access paths).
   Result<std::shared_ptr<const TagIndex>> GetTagIndex(
       const std::string& uri) override;
+  std::shared_ptr<const TagIndex> PeekTagIndex(
+      const std::string& uri) const override;
 
  private:
   /// Clears derived caches and bumps the epoch. Caller must hold mu_

@@ -1,8 +1,37 @@
 #include "exec/axes.h"
 
+#include <algorithm>
+
+#include "base/metrics.h"
+#include "exec/dynamic_context.h"
+#include "join/tag_index.h"
+
 namespace xqp {
 
-AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test)
+namespace {
+
+/// Counts which route a descendant step took (one per cursor).
+void CountDescendantRoute(bool sliced) {
+  if (!metrics::Enabled()) return;
+  static metrics::Counter* slice =
+      metrics::MetricsRegistry::Global().counter("axis.descendant.tag_slice");
+  static metrics::Counter* scan =
+      metrics::MetricsRegistry::Global().counter("axis.descendant.scan");
+  (sliced ? slice : scan)->Increment();
+}
+
+/// An element name test without wildcards: exactly one tag's postings
+/// answer it.
+bool IsExactElementName(const NodeTest& test) {
+  return (test.kind == NodeTest::Kind::kName ||
+          test.kind == NodeTest::Kind::kElement) &&
+         !test.wildcard_uri && !test.wildcard_local;
+}
+
+}  // namespace
+
+AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test,
+                       const DocumentProvider* provider)
     : origin_(origin), axis_(axis), test_(test) {
   if (origin.IsNull()) {
     done_ = true;
@@ -37,6 +66,8 @@ AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test)
       // during the scan.
       scan_ = origin.index() + 1;
       scan_end_ = rec.end;
+      if (provider != nullptr) TrySlice(*provider);
+      CountDescendantRoute(tags_ != nullptr);
       break;
     }
     case Axis::kFollowingSibling:
@@ -73,65 +104,75 @@ AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test)
   }
 }
 
+void AxisCursor::TrySlice(const DocumentProvider& provider) {
+  if (test_ == nullptr || !IsExactElementName(*test_)) return;
+  const Document& doc = origin_.doc();
+  if (doc.base_uri().empty() || scan_ > scan_end_) return;
+  std::shared_ptr<const TagIndex> tags = provider.PeekTagIndex(doc.base_uri());
+  // Identity, not URI: the index must describe these very rows.
+  if (tags == nullptr || &tags->doc() != &doc) return;
+  if (const std::vector<NodeIndex>* postings =
+          tags->Lookup(test_->uri, test_->local)) {
+    const NodeIndex* first = postings->data();
+    const NodeIndex* last = first + postings->size();
+    slice_ = std::lower_bound(first, last, scan_);
+    slice_end_ = std::upper_bound(slice_, last, scan_end_);
+  }
+  tags_ = std::move(tags);
+}
+
 bool AxisCursor::Matches(NodeIndex i) const {
   if (test_ == nullptr) return true;
   return test_->Matches(origin_.doc(), i, axis_ == Axis::kAttribute);
 }
 
-bool AxisCursor::Candidate(Node* out) {
+NodeIndex AxisCursor::Candidate() {
   const Document& doc = origin_.doc();
   switch (axis_) {
     case Axis::kSelf:
-      if (!include_self_pending_) return false;
+      if (!include_self_pending_) return kNullNode;
       include_self_pending_ = false;
-      *out = origin_;
-      return true;
+      return origin_.index();
     case Axis::kChild:
     case Axis::kAttribute:
     case Axis::kFollowingSibling: {
-      if (current_ == kNullNode) return false;
-      *out = Node(origin_.doc_ptr(), current_);
-      current_ = doc.node(current_).next_sibling;
-      return true;
+      NodeIndex i = current_;
+      if (i != kNullNode) current_ = doc.node(i).next_sibling;
+      return i;
     }
-    case Axis::kParent:
-      if (current_ == kNullNode) return false;
-      *out = Node(origin_.doc_ptr(), current_);
+    case Axis::kParent: {
+      NodeIndex i = current_;
       current_ = kNullNode;
-      return true;
+      return i;
+    }
     case Axis::kAncestor:
     case Axis::kAncestorOrSelf: {
       if (include_self_pending_) {
         include_self_pending_ = false;
-        *out = origin_;
-        return true;
+        return origin_.index();
       }
-      if (current_ == kNullNode) return false;
-      *out = Node(origin_.doc_ptr(), current_);
-      current_ = doc.node(current_).parent;
-      return true;
+      NodeIndex i = current_;
+      if (i != kNullNode) current_ = doc.node(i).parent;
+      return i;
     }
     case Axis::kDescendant:
     case Axis::kDescendantOrSelf: {
       if (include_self_pending_) {
         include_self_pending_ = false;
-        *out = origin_;
-        return true;
+        return origin_.index();
       }
       while (scan_ != kNullNode && scan_ <= scan_end_ &&
              scan_ < doc.NumNodes()) {
         NodeIndex i = scan_++;
-        if (doc.node(i).kind == NodeKind::kAttribute) continue;
-        *out = Node(origin_.doc_ptr(), i);
-        return true;
+        if (doc.node(i).kind != NodeKind::kAttribute) return i;
       }
-      return false;
+      return kNullNode;
     }
     case Axis::kPrecedingSibling: {
       // Siblings before origin, in reverse document order. Collect lazily:
       // walk forward each time from scan_ to find the last sibling before
       // scan_end_. Sibling lists are short; O(k^2) worst case is fine.
-      if (done_ || scan_ == kNullNode) return false;
+      if (done_ || scan_ == kNullNode) return kNullNode;
       NodeIndex last = kNullNode;
       for (NodeIndex c = scan_; c != kNullNode && c < scan_end_;
            c = doc.node(c).next_sibling) {
@@ -139,20 +180,17 @@ bool AxisCursor::Candidate(Node* out) {
       }
       if (last == kNullNode) {
         done_ = true;
-        return false;
+        return kNullNode;
       }
       scan_end_ = last;
-      *out = Node(origin_.doc_ptr(), last);
-      return true;
+      return last;
     }
     case Axis::kFollowing: {
       while (!done_ && scan_ <= scan_end_ && scan_ < doc.NumNodes()) {
         NodeIndex i = scan_++;
-        if (doc.node(i).kind == NodeKind::kAttribute) continue;
-        *out = Node(origin_.doc_ptr(), i);
-        return true;
+        if (doc.node(i).kind != NodeKind::kAttribute) return i;
       }
-      return false;
+      return kNullNode;
     }
     case Axis::kPreceding: {
       while (!done_ && scan_ != kNullNode && scan_ >= scan_end_) {
@@ -162,31 +200,50 @@ bool AxisCursor::Candidate(Node* out) {
         if (rec.kind == NodeKind::kAttribute) continue;
         // Exclude ancestors of the origin.
         if (i < origin_.index() && origin_.index() <= rec.end) continue;
-        *out = Node(origin_.doc_ptr(), i);
-        return true;
+        return i;
       }
-      return false;
+      return kNullNode;
     }
   }
-  return false;
+  return kNullNode;
 }
 
-bool AxisCursor::Next(Node* out) {
-  Node candidate;
-  while (Candidate(&candidate)) {
-    if (Matches(candidate.index())) {
-      *out = candidate;
+bool AxisCursor::NextIndex(NodeIndex* out) {
+  if (tags_ != nullptr) {
+    // Tag slice: every posting in range matches; only the origin itself
+    // (descendant-or-self) still needs the test.
+    if (include_self_pending_) {
+      include_self_pending_ = false;
+      if (Matches(origin_.index())) {
+        *out = origin_.index();
+        return true;
+      }
+    }
+    if (slice_ == slice_end_) return false;
+    *out = *slice_++;
+    return true;
+  }
+  for (NodeIndex i = Candidate(); i != kNullNode; i = Candidate()) {
+    if (Matches(i)) {
+      *out = i;
       return true;
     }
   }
   return false;
 }
 
+bool AxisCursor::Next(Node* out) {
+  NodeIndex i;
+  if (!NextIndex(&i)) return false;
+  *out = Node(origin_.doc_ptr(), i);
+  return true;
+}
+
 void CollectAxis(const Node& origin, Axis axis, const NodeTest& test,
-                 Sequence* out) {
-  AxisCursor cursor(origin, axis, &test);
-  Node node;
-  while (cursor.Next(&node)) out->push_back(Item(node));
+                 Sequence* out, const DocumentProvider* provider) {
+  AxisCursor cursor(origin, axis, &test, provider);
+  NodeIndex i;
+  while (cursor.NextIndex(&i)) out->emplace_back(Node(origin.doc_ptr(), i));
 }
 
 }  // namespace xqp

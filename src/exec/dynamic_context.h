@@ -48,6 +48,15 @@ class DocumentProvider {
     (void)uri;
     return std::shared_ptr<const TagIndex>();
   }
+  /// The tag index for `uri` if one is already built, or nullptr — never
+  /// builds. Descendant name steps probe it per origin (exec/axes.h) and
+  /// use it only when it indexes the origin's very Document, so a
+  /// re-registered or constructed document falls back to the scan.
+  virtual std::shared_ptr<const TagIndex> PeekTagIndex(
+      const std::string& uri) const {
+    (void)uri;
+    return nullptr;
+  }
 };
 
 /// The dynamic (evaluation-time) context: variable frames, external

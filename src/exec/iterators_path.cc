@@ -42,7 +42,7 @@ class StepIt : public ItemIterator {
       if (!origin.IsNode()) {
         return Status::TypeError("axis step requires a node context item");
       }
-      cursor_.emplace(origin.AsNode(), e_->axis, &e_->test);
+      cursor_.emplace(origin.AsNode(), e_->axis, &e_->test, ctx_->provider);
     }
     Node node;
     if (!cursor_->Next(&node)) return false;

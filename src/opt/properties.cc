@@ -76,9 +76,15 @@ void Analyze(Expr* e, const ParsedModule* module) {
 
     case ExprKind::kVarRef: {
       p.may_raise_error = false;  // Binding errors surface at the binder.
+      // A for / at / quantifier variable holds exactly one item, so paths
+      // from it ($b/bidder) need no ddo.
+      const auto* var = static_cast<const VarRefExpr*>(e);
+      if (var->one_item) {
+        p.singleton = true;
+        p.ordered = p.distinct = p.no_two_nested = true;
+      }
       // Declared types of globals refine the analysis: a document-node()
       // variable (the paper's $document) is a singleton node.
-      const auto* var = static_cast<const VarRefExpr*>(e);
       if (var->is_global && module != nullptr) {
         for (const GlobalVariable& g : module->globals) {
           if (g.slot != var->slot || !g.has_type) continue;

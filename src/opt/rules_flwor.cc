@@ -135,14 +135,31 @@ void MinimizeFor(ExprPtr& e, RuleContext* ctx) {
     }
   }
 
-  // for $x in E return $x/steps  =>  E/steps (identity requires E ordered
-  // and duplicate-free, since the path form re-sorts).
+  // for $x in E return $x/steps  =>  E/steps. The for form concatenates
+  // each $x's result; the path form sorts and dedups their union. They
+  // agree when E is ordered, duplicate-free and has no two nested nodes
+  // and every step stays inside $x's subtree: the per-$x results are then
+  // disjoint and already in document order.
   if (ret->kind() != ExprKind::kPath) return;
   const ExprProps& domain = flwor->child(0)->props;
-  if (!domain.ordered || !domain.distinct) return;
+  if (!domain.ordered || !domain.distinct || !domain.no_two_nested) return;
   // Find the leftmost leaf of the path chain.
   Expr* leftmost = ret;
-  while (leftmost->kind() == ExprKind::kPath) leftmost = leftmost->child(0);
+  while (leftmost->kind() == ExprKind::kPath) {
+    const StepExpr* step = UnderlyingStep(leftmost->child(1));
+    if (step == nullptr) return;
+    switch (step->axis) {
+      case Axis::kChild:
+      case Axis::kAttribute:
+      case Axis::kSelf:
+      case Axis::kDescendant:
+      case Axis::kDescendantOrSelf:
+        break;
+      default:
+        return;
+    }
+    leftmost = leftmost->child(0);
+  }
   if (leftmost->kind() != ExprKind::kVarRef) return;
   const auto* var = static_cast<const VarRefExpr*>(leftmost);
   if (var->is_global || var->slot != c.var_slot) return;

@@ -238,6 +238,7 @@ std::unique_ptr<Expr> VarRefExpr::Clone() const {
   auto e = std::make_unique<VarRefExpr>(name);
   e->slot = slot;
   e->is_global = is_global;
+  e->one_item = one_item;
   return e;
 }
 

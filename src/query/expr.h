@@ -222,6 +222,11 @@ class VarRefExpr : public Expr {
   QName name;
   int slot = -1;
   bool is_global = false;
+  /// The binder always holds exactly one item: a `for` variable, an `at`
+  /// positional variable or a quantifier variable (set by normalization).
+  /// let, parameter and typeswitch variables — and the lets that inlining
+  /// and CSE create — leave it false.
+  bool one_item = false;
 };
 
 class ContextItemExpr : public Expr {

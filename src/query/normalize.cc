@@ -14,6 +14,7 @@ namespace {
 struct ScopeEntry {
   QName name;
   int slot;
+  bool one_item;  // See VarRefExpr::one_item.
 };
 
 class Normalizer {
@@ -60,7 +61,7 @@ class Normalizer {
       for (const QName& p : fn.params) {
         int slot = next_slot_++;
         fn.param_slots.push_back(slot);
-        scope_.push_back(ScopeEntry{p, slot});
+        scope_.push_back(ScopeEntry{p, slot, /*one_item=*/false});
       }
       current_function_ = &fn;
       XQP_RETURN_NOT_OK(Resolve(fn.body));
@@ -85,9 +86,9 @@ class Normalizer {
     return name.uri + "|" + name.local + "#" + std::to_string(arity);
   }
 
-  int PushVar(const QName& name) {
+  int PushVar(const QName& name, bool one_item) {
     int slot = next_slot_++;
-    scope_.push_back(ScopeEntry{name, slot});
+    scope_.push_back(ScopeEntry{name, slot, one_item});
     return slot;
   }
 
@@ -100,6 +101,7 @@ class Normalizer {
           if (it->name == var->name) {
             var->slot = it->slot;
             var->is_global = false;
+            var->one_item = it->one_item;
             return Status::OK();
           }
         }
@@ -121,8 +123,9 @@ class Normalizer {
           FlworExpr::Clause& c = flwor->clauses[i];
           if (c.type == FlworExpr::Clause::Type::kFor ||
               c.type == FlworExpr::Clause::Type::kLet) {
-            c.var_slot = PushVar(c.var);
-            if (c.has_pos_var()) c.pos_slot = PushVar(c.pos_var);
+            c.var_slot =
+                PushVar(c.var, c.type == FlworExpr::Clause::Type::kFor);
+            if (c.has_pos_var()) c.pos_slot = PushVar(c.pos_var, true);
           }
         }
         XQP_RETURN_NOT_OK(Resolve(flwor->child_slot(flwor->NumChildren() - 1)));
@@ -134,7 +137,7 @@ class Normalizer {
         size_t mark = scope_.size();
         for (size_t i = 0; i < q->bindings.size(); ++i) {
           XQP_RETURN_NOT_OK(Resolve(q->child_slot(i)));
-          q->bindings[i].var_slot = PushVar(q->bindings[i].var);
+          q->bindings[i].var_slot = PushVar(q->bindings[i].var, true);
         }
         XQP_RETURN_NOT_OK(Resolve(q->child_slot(q->NumChildren() - 1)));
         scope_.resize(mark);
@@ -146,14 +149,14 @@ class Normalizer {
         for (size_t i = 0; i < ts->cases.size(); ++i) {
           size_t mark = scope_.size();
           if (ts->cases[i].has_var()) {
-            ts->cases[i].var_slot = PushVar(ts->cases[i].var);
+            ts->cases[i].var_slot = PushVar(ts->cases[i].var, false);
           }
           XQP_RETURN_NOT_OK(Resolve(ts->child_slot(i + 1)));
           scope_.resize(mark);
         }
         size_t mark = scope_.size();
         if (ts->default_has_var()) {
-          ts->default_var_slot = PushVar(ts->default_var);
+          ts->default_var_slot = PushVar(ts->default_var, false);
         }
         XQP_RETURN_NOT_OK(Resolve(ts->child_slot(ts->NumChildren() - 1)));
         scope_.resize(mark);

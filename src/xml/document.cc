@@ -45,8 +45,7 @@ NodeIndex Document::root_element() const {
 
 uint32_t Document::FindNameId(std::string_view uri,
                               std::string_view local) const {
-  QName key{std::string(uri), std::string(local)};
-  auto it = name_index_.find(key);
+  auto it = name_index_.find(QNameView{uri, local});
   return it == name_index_.end() ? kNoName : it->second;
 }
 

@@ -165,7 +165,7 @@ class Document : public std::enable_shared_from_this<Document> {
   /// pooled strings) points into it; null for built documents.
   std::shared_ptr<const void> backing_;
   std::vector<QName> names_;
-  std::unordered_map<QName, uint32_t, QNameHash> name_index_;
+  std::unordered_map<QName, uint32_t, QNameHash, QNameEq> name_index_;
   StringPool pool_;
   std::unordered_map<NodeIndex, std::vector<NsDecl>> ns_decls_;
   std::string base_uri_;

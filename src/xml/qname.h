@@ -45,9 +45,35 @@ struct QName {
   }
 };
 
-/// Hash for QName (uri + local).
+/// Borrowed expanded name: the key type of allocation-free lookups in
+/// QName-keyed hash maps (see QNameHash / QNameEq).
+struct QNameView {
+  std::string_view uri;
+  std::string_view local;
+};
+
+/// Hash for QName (uri + local). Transparent: a QNameView hashes to the
+/// same value as the QName it spells, so maps declared with QNameHash and
+/// QNameEq can be probed without building a QName.
 struct QNameHash {
-  size_t operator()(const QName& q) const;
+  using is_transparent = void;
+  size_t operator()(const QName& q) const {
+    return (*this)(QNameView{q.uri, q.local});
+  }
+  size_t operator()(QNameView q) const;
+};
+
+/// Expanded-name equality (prefix ignored), transparent over QNameView.
+struct QNameEq {
+  using is_transparent = void;
+  static QNameView View(const QName& q) { return {q.uri, q.local}; }
+  static QNameView View(QNameView q) { return q; }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    QNameView x = View(a);
+    QNameView y = View(b);
+    return x.local == y.local && x.uri == y.uri;
+  }
 };
 
 }  // namespace xqp

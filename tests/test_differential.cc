@@ -6,11 +6,13 @@
 // generated query. The value-join suite checks decorrelated FLWOR joins
 // against a brute-force oracle and the nested-loop plan.
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1044,6 +1046,317 @@ TEST_P(ConstructorDifferentialTest, InPlaceAttributesAgreeEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConstructorDifferentialTest,
                          ::testing::Values(41, 42, 43, 44, 45, 46, 47, 48));
+
+// --- Descendant-route differential suite ----------------------------------
+//
+// A variable-anchored descendant or descendant-or-self name step answers
+// from the tag index's postings when the engine already holds a TagIndex
+// over exactly the origin's document (the tag-slice route), and scans the
+// origin's region otherwise. Every case runs with the index built and
+// never built, on every backend, optimized and not, plus the snapshot
+// twin; all must serialize byte-identically. Wildcard tests and origins
+// from a superseded document must take the scan route.
+
+constexpr char kDescProlog[] =
+    "declare namespace p = 'urn:p'; declare namespace q = 'urn:q'; ";
+
+/// A random tree over a, b, c and the namespaced p:a, q:a (two URIs, one
+/// local name) and p:b; every element carries a unique @n so a serialized
+/// result pins node identity. Text, comments and PIs sit between elements.
+std::string DescendantCorpus(SplitMix64* rng, size_t elements) {
+  static constexpr const char* kTags[] = {"a", "b", "c", "p:a", "q:a", "p:b"};
+  std::string out = "<r xmlns:p=\"urn:p\" xmlns:q=\"urn:q\" n=\"0\">";
+  std::vector<const char*> open;
+  size_t emitted = 0;
+  while (emitted < elements || !open.empty()) {
+    uint64_t action = rng->Below(10);
+    if (emitted < elements && (action < 5 || open.empty()) &&
+        open.size() < 7) {
+      const char* tag = kTags[rng->Below(6)];
+      out += std::string("<") + tag + " n=\"" + std::to_string(++emitted) +
+             "\">";
+      open.push_back(tag);
+    } else if (action < 8 && !open.empty()) {
+      out += std::string("</") + open.back() + ">";
+      open.pop_back();
+    } else if (action == 8) {
+      out += "t" + std::to_string(rng->Below(100));
+    } else {
+      out += rng->Below(2) == 0 ? "<!--x-->" : "<?pi x?>";
+    }
+  }
+  return out + "</r>";
+}
+
+/// `for $o in ORIGIN return ...` over one descendant step: the @n of every
+/// selected node, in the order the step delivers them, one group per
+/// origin — or the nodes themselves, serialized.
+std::string DescendantQuery(const std::string& origin, const std::string& step,
+                            bool serialize_nodes) {
+  if (serialize_nodes) {
+    return std::string(kDescProlog) + "for $o in " + origin + " return $o/" +
+           step;
+  }
+  return std::string(kDescProlog) + "for $o in " + origin +
+         " return <g>{for $x in $o/" + step +
+         " return string($x/@n)}</g>";
+}
+
+constexpr const char* kDescOrigins[] = {
+    "doc('d.xml')",                     // The document node.
+    "doc('d.xml')/r",                   // The root element.
+    "doc('d.xml')//b",                  // Mid-depth elements.
+    "(doc('d.xml')//b)[2]",             // One mid-depth element.
+    "doc('d.xml')//*[not(*)]",          // Leaves.
+    "doc('d.xml')//@n",                 // Attributes.
+    "doc('d.xml')//text()",             // Text nodes.
+    "doc('d.xml')//p:a",                // Namespaced elements.
+};
+
+constexpr const char* kDescTests[] = {
+    "a", "b", "c", "p:a", "q:a", "p:b",  // Exact names (q:a vs p:a vs a).
+    "zz", "p:zz",                        // Absent from the document.
+    "element(a)", "element(q:a)",        // Named kind tests.
+    "*", "p:*", "*:a", "element()",      // Wildcards: always scanned.
+};
+
+class DescendantRouteTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DescendantRouteTest, SliceAndScanAgreeEverywhere) {
+  SplitMix64 rng(GetParam() * 104729 + 7);
+  const std::string xml = DescendantCorpus(&rng, 120 + rng.Below(120));
+
+  // Index built: the slice route is available.
+  XQueryEngine built;
+  XQP_ASSERT_OK(built.ParseAndRegister("d.xml", xml).status());
+  XQP_ASSERT_OK(built.GetTagIndex("d.xml").status());
+  // Never built: with the index subsystem off no access path asks for a
+  // tag index, so every step scans.
+  EngineOptions scan_options;
+  scan_options.enable_indexes = false;
+  XQueryEngine never(scan_options);
+  XQP_ASSERT_OK(never.ParseAndRegister("d.xml", xml).status());
+  // Snapshot twin, index built over the mmap'd document.
+  const std::string snap_path = ::testing::TempDir() + "/xqp_desc_route_" +
+                                std::to_string(GetParam()) + ".xqps";
+  XQP_ASSERT_OK(built.SaveSnapshot("d.xml", snap_path));
+  XQueryEngine snapped;
+  XQP_ASSERT_OK(snapped.LoadDocumentSnapshot("d.xml", snap_path).status());
+  XQP_ASSERT_OK(snapped.GetTagIndex("d.xml").status());
+
+  XQueryEngine::CompileOptions no_opt;
+  no_opt.optimize = false;
+  std::vector<CompiledQuery::ExecOptions> backends(3);
+  backends[0].backend = ExecBackend::kLazy;
+  backends[1].backend = ExecBackend::kEager;
+  backends[2].backend = ExecBackend::kVm;
+
+  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  const bool metrics_were_on = registry.enabled();
+  registry.set_enabled(true);
+  uint64_t sliced_on_built = 0;
+  for (const char* origin : kDescOrigins) {
+    for (int pick = 0; pick < 4; ++pick) {
+      const std::string test = kDescTests[rng.Below(std::size(kDescTests))];
+      const bool wildcard = test.find('*') != std::string::npos ||
+                            test == "element()";
+      for (const char* axis : {"descendant::", "descendant-or-self::", "/"}) {
+        const std::string step = std::string(axis) + test;
+        const std::string query =
+            DescendantQuery(origin, step, rng.Below(3) == 0);
+        auto reference = never.Compile(query, no_opt);
+        ASSERT_TRUE(reference.ok()) << query << ": "
+                                    << reference.status().ToString();
+        XQP_ASSERT_OK_AND_ASSIGN(std::string want,
+                                 reference.value()->ExecuteToXml(backends[1]));
+        for (XQueryEngine* engine : {&built, &never, &snapped}) {
+          for (bool optimize : {true, false}) {
+            XQueryEngine::CompileOptions copts;
+            copts.optimize = optimize;
+            auto compiled = engine->Compile(query, copts);
+            ASSERT_TRUE(compiled.ok()) << query;
+            for (const CompiledQuery::ExecOptions& exec : backends) {
+              const metrics::MetricsSnapshot before = registry.Snapshot();
+              auto got = compiled.value()->ExecuteToXml(exec);
+              metrics::MetricsSnapshot delta =
+                  registry.Snapshot().Delta(before);
+              ASSERT_TRUE(got.ok()) << query << ": "
+                                    << got.status().ToString();
+              EXPECT_EQ(got.value(), want)
+                  << query << " (" << ExecBackendName(*exec.backend)
+                  << (engine == &built    ? ", index built"
+                      : engine == &never  ? ", never built"
+                                          : ", snapshot twin")
+                  << (optimize ? ", optimized)" : ")");
+              const uint64_t sliced =
+                  delta.counters["axis.descendant.tag_slice"];
+              if (engine == &never || wildcard) {
+                EXPECT_EQ(sliced, 0u) << query;
+              }
+              if (engine == &built) sliced_on_built += sliced;
+            }
+          }
+        }
+      }
+    }
+  }
+  registry.set_enabled(metrics_were_on);
+  EXPECT_GT(sliced_on_built, 0u);
+  EXPECT_EQ(never.PeekTagIndex("d.xml"), nullptr);
+}
+
+TEST_P(DescendantRouteTest, SupersededDocumentTakesTheScanRoute) {
+  SplitMix64 rng(GetParam() * 15485863 + 3);
+  const std::string old_xml = DescendantCorpus(&rng, 150);
+  const std::string new_xml = DescendantCorpus(&rng, 150);
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("d.xml", old_xml).status());
+  XQP_ASSERT_OK(engine.GetTagIndex("d.xml").status());
+
+  // Origins from the old document, bound before it is replaced; its base
+  // URI still names "d.xml".
+  auto origins_q = engine.Compile("doc('d.xml')//b");
+  ASSERT_TRUE(origins_q.ok());
+  XQP_ASSERT_OK_AND_ASSIGN(Sequence old_bs, origins_q.value()->Execute());
+  ASSERT_FALSE(old_bs.empty());
+
+  const std::string var_query =
+      std::string(kDescProlog) +
+      "declare variable $o external; "
+      "for $x in $o return <g>{for $y in $x//a return string($y/@n)}</g>";
+  const std::string doc_query = DescendantQuery("doc('d.xml')//b", "/a", false);
+  auto var_compiled = engine.Compile(var_query);
+  auto doc_compiled = engine.Compile(doc_query);
+  ASSERT_TRUE(var_compiled.ok()) << var_compiled.status().ToString();
+  ASSERT_TRUE(doc_compiled.ok()) << doc_compiled.status().ToString();
+
+  // References: the scan route on engines that never build a tag index.
+  EngineOptions scan_options;
+  scan_options.enable_indexes = false;
+  auto scan_reference = [&](const std::string& xml, const std::string& q,
+                            const Sequence* bind) {
+    XQueryEngine ref(scan_options);
+    EXPECT_TRUE(ref.ParseAndRegister("d.xml", xml).ok());
+    CompiledQuery::ExecOptions exec;
+    exec.backend = ExecBackend::kEager;
+    if (bind != nullptr) exec.variables["o"] = *bind;
+    return ref.Compile(q).ValueOrDie()->ExecuteToXml(exec).ValueOrDie();
+  };
+  const std::string want_var = scan_reference(old_xml, var_query, &old_bs);
+  const std::string want_doc = scan_reference(new_xml, doc_query, nullptr);
+
+  // Re-register between compile and execute, then build the new
+  // document's tag index: a peek by the old nodes' base URI now finds an
+  // index over a different Document, which the identity check refuses.
+  XQP_ASSERT_OK(engine.ParseAndRegister("d.xml", new_xml).status());
+  XQP_ASSERT_OK(engine.GetTagIndex("d.xml").status());
+
+  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  const bool metrics_were_on = registry.enabled();
+  registry.set_enabled(true);
+  for (ExecBackend backend :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    exec.variables["o"] = old_bs;
+    const metrics::MetricsSnapshot before = registry.Snapshot();
+    EXPECT_EQ(var_compiled.value()->ExecuteToXml(exec).ValueOrDie(), want_var)
+        << ExecBackendName(backend);
+    metrics::MetricsSnapshot delta = registry.Snapshot().Delta(before);
+    EXPECT_EQ(delta.counters["axis.descendant.tag_slice"], 0u);
+    EXPECT_GT(delta.counters["axis.descendant.scan"], 0u);
+    // doc() now yields the new document, whose index matches.
+    EXPECT_EQ(doc_compiled.value()->ExecuteToXml(exec).ValueOrDie(), want_doc)
+        << ExecBackendName(backend);
+  }
+  registry.set_enabled(metrics_were_on);
+}
+
+TEST_P(DescendantRouteTest, ConcurrentReregistrationStaysCorrect) {
+  // Readers run descendant steps on every backend while a writer swaps the
+  // registered document and rebuilds its tag index: each answer must be
+  // one of the two documents' scan-route answers, and steps from a held
+  // old-document origin must always see the old document.
+  SplitMix64 rng(GetParam() * 32452843 + 5);
+  const std::string xml[2] = {DescendantCorpus(&rng, 120),
+                              DescendantCorpus(&rng, 120)};
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("d.xml", xml[0]).status());
+  XQP_ASSERT_OK(engine.GetTagIndex("d.xml").status());
+  XQP_ASSERT_OK_AND_ASSIGN(Sequence held,
+                           engine.Compile("doc('d.xml')//b")
+                               .ValueOrDie()
+                               ->Execute());
+
+  const std::string doc_query =
+      DescendantQuery("doc('d.xml')//b", "/p:a", false);
+  const std::string var_query =
+      std::string(kDescProlog) +
+      "declare variable $o external; "
+      "for $x in $o return <g>{for $y in $x/descendant::c "
+      "return string($y/@n)}</g>";
+  EngineOptions scan_options;
+  scan_options.enable_indexes = false;
+  std::string want_doc[2];
+  for (int d = 0; d < 2; ++d) {
+    XQueryEngine ref(scan_options);
+    XQP_ASSERT_OK(ref.ParseAndRegister("d.xml", xml[d]).status());
+    XQP_ASSERT_OK_AND_ASSIGN(
+        want_doc[d], ref.Compile(doc_query).ValueOrDie()->ExecuteToXml());
+  }
+  std::string want_var;
+  {
+    XQueryEngine ref(scan_options);
+    XQP_ASSERT_OK(ref.ParseAndRegister("d.xml", xml[0]).status());
+    CompiledQuery::ExecOptions exec;
+    exec.variables["o"] = held;
+    XQP_ASSERT_OK_AND_ASSIGN(
+        want_var, ref.Compile(var_query).ValueOrDie()->ExecuteToXml(exec));
+  }
+  auto doc_compiled = engine.Compile(doc_query).ValueOrDie();
+  auto var_compiled = engine.Compile(var_query).ValueOrDie();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  auto reader = [&](ExecBackend backend) {
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    exec.variables["o"] = held;
+    // At least a few rounds, then until the writer is done.
+    for (int i = 0; i < 5 || !stop.load(); ++i) {
+      auto d = doc_compiled->ExecuteToXml(exec);
+      auto v = var_compiled->ExecuteToXml(exec);
+      if (!d.ok() || !v.ok()) {
+        failures.fetch_add(1);
+        continue;
+      }
+      if ((d.value() != want_doc[0] && d.value() != want_doc[1]) ||
+          v.value() != want_var) {
+        mismatches.fetch_add(1);
+      }
+    }
+  };
+  std::thread writer([&] {
+    for (int i = 1; i <= 40; ++i) {
+      if (!engine.ParseAndRegister("d.xml", xml[i % 2]).ok() ||
+          !engine.GetTagIndex("d.xml").ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  std::thread readers[] = {std::thread(reader, ExecBackend::kLazy),
+                           std::thread(reader, ExecBackend::kEager),
+                           std::thread(reader, ExecBackend::kVm)};
+  writer.join();
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DescendantRouteTest,
+                         ::testing::Values(61, 62, 63, 64));
 
 }  // namespace
 }  // namespace xqp

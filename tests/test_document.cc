@@ -90,6 +90,24 @@ TEST(Document, FindNameId) {
   EXPECT_EQ(doc->node(2).name_id, b_id);
   EXPECT_EQ(doc->node(3).name_id, b_id);
   EXPECT_EQ(doc->FindNameId("", "zzz"), kNoName);
+
+  // Every interned name round-trips, namespaces included; a local name
+  // shared by two URIs resolves per URI, and a prefix never matters.
+  auto ns = Document::Parse(
+                "<r xmlns:p='urn:p' xmlns:q='urn:q' p:k='1'>"
+                "<p:x/><q:x/><x/></r>")
+                .value();
+  for (uint32_t id = 0; id < ns->NumNames(); ++id) {
+    const QName& q = ns->name_at(id);
+    EXPECT_EQ(ns->FindNameId(q.uri, q.local), id) << q.Clark();
+    EXPECT_EQ(QNameHash()(q), QNameHash()(QNameView{q.uri, q.local}));
+  }
+  EXPECT_NE(ns->FindNameId("urn:p", "x"), ns->FindNameId("urn:q", "x"));
+  EXPECT_NE(ns->FindNameId("urn:p", "x"), ns->FindNameId("", "x"));
+  EXPECT_NE(ns->FindNameId("urn:p", "k"), kNoName);
+  EXPECT_EQ(ns->FindNameId("", "k"), kNoName);
+  EXPECT_EQ(ns->FindNameId("p", "x"), kNoName);
+  EXPECT_EQ(ns->FindNameId("x", "urn:p"), kNoName);
 }
 
 TEST(Document, UniqueIds) {

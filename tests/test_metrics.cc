@@ -233,10 +233,10 @@ TEST(ExplainTest, CanonicalPlansAreStable) {
             "    call doc\n"
             "      literal xmark.xml\n"
             "    step descendant::item\n"
-            "  where: path [sort dedup]\n"
+            "  where: path\n"
             "    var $i\n"
             "    step child::payment\n"
-            "  return: path [sort dedup]\n"
+            "  return: path\n"
             "    var $i\n"
             "    step child::name\n");
 }

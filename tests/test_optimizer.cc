@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "engine.h"
 #include "opt/properties.h"
 #include "query/normalize.h"
@@ -191,6 +193,31 @@ TEST(ForMinimization, ForReturnVarCollapses) {
   EXPECT_EQ(dump.find("flwor"), std::string::npos) << dump;
 }
 
+TEST(ForMinimization, ForReturnPathNeedsDisjointOrderedDomain) {
+  // `for $x in E return $x/steps` concatenates per-$x results; E/steps
+  // sorts and dedups their union. Nested domain nodes (descendant::b) or
+  // an upward step make the two differ, so those stay FLWORs.
+  const std::string xml =
+      "<r><b n='1'><b n='2'><a n='3'/></b><a n='4'/></b></r>";
+  for (const char* query :
+       {"for $o in doc('doc.xml')//b return $o/descendant::a",
+        "for $o in doc('doc.xml')//b return $o/child::*",
+        "for $o in doc('doc.xml')/r/b/b/a return $o/.."}) {
+    auto [stats, dump] = Optimize(query, {});
+    EXPECT_EQ(RuleCount(stats, "for-minimization"), 0) << query << dump;
+    EXPECT_EQ(testing_util::RunAllWays(query, xml),
+              RunQuery(query, xml, /*use_lazy=*/false, /*optimize=*/false))
+        << query;
+  }
+  EXPECT_EQ(testing_util::RunAllWays(
+                "for $o in doc('doc.xml')//b return $o/descendant::a", xml),
+            "<a n=\"3\"/><a n=\"4\"/><a n=\"3\"/>");
+  // A child chain never nests: still minimized.
+  auto [stats, dump] =
+      Optimize("for $o in doc('doc.xml')/r/b return $o/b/a", {});
+  EXPECT_EQ(RuleCount(stats, "for-minimization"), 1) << dump;
+}
+
 TEST(Cse, FactorsRepeatedSubexpression) {
   auto [stats, dump] = Optimize(
       "declare variable $d external; "
@@ -280,6 +307,126 @@ TEST(Properties, VarUseCounting) {
   bool in_loop = false;
   EXPECT_EQ(CountVarUses(flwor->return_expr(), x_slot, &in_loop), 2);
   EXPECT_EQ(CountVarUses(flwor->return_expr(), y_slot, &in_loop), 1);
+}
+
+// ---------------------------------------------------------------------------
+// ddo elision from one-item bindings: a for, at or quantifier variable holds
+// exactly one item, so a path stepping from it needs no [sort dedup]; let,
+// parameter and rewriter-made let variables may hold many and keep it.
+// ---------------------------------------------------------------------------
+
+/// Optimizes `query` with `options` and renders every path whose lhs is a
+/// variable (in the main body and in function bodies, document order of
+/// the tree) as "$name/step" plus " [sort]" / " [dedup]" for the ddo work
+/// the plan still does.
+std::vector<std::string> VarPaths(const std::string& query,
+                                  const RewriterOptions& options = {}) {
+  auto module = ParseQuery(query);
+  EXPECT_TRUE(module.ok()) << module.status().ToString();
+  if (!module.ok()) return {};
+  EXPECT_TRUE(NormalizeModule(module->get()).ok());
+  auto stats = OptimizeModule(module->get(), options);
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  std::vector<std::string> out;
+  std::function<void(const Expr*)> walk = [&](const Expr* e) {
+    if (e->kind() == ExprKind::kPath &&
+        e->child(0)->kind() == ExprKind::kVarRef) {
+      const auto* path = static_cast<const PathExpr*>(e);
+      std::string line =
+          e->child(0)->ToString() + "/" + e->child(1)->ToString();
+      if (path->needs_sort) line += " [sort]";
+      if (path->needs_dedup) line += " [dedup]";
+      out.push_back(line);
+    }
+    for (size_t i = 0; i < e->NumChildren(); ++i) walk(e->child(i));
+  };
+  for (const UserFunction& fn : (*module)->functions) {
+    if (fn.body != nullptr) walk(fn.body.get());
+  }
+  walk((*module)->body.get());
+  return out;
+}
+
+using Lines = std::vector<std::string>;
+
+TEST(OneItemElision, ForVariablePathsStream) {
+  EXPECT_EQ(VarPaths("for $b in doc('d.xml')//b return ($b/c, $b/d)"),
+            (Lines{"$b/child::c", "$b/child::d"}));
+  // Also with the rewriter off: the flag comes from normalization.
+  RewriterOptions ddo_only = RewriterOptions::AllOff();
+  ddo_only.ddo_elision = true;
+  EXPECT_EQ(VarPaths("for $b in doc('d.xml')//b return ($b/c, $b/d)",
+                     ddo_only),
+            (Lines{"$b/child::c", "$b/child::d"}));
+}
+
+TEST(OneItemElision, PositionalAndQuantifierVariablesStream) {
+  EXPECT_EQ(VarPaths("for $b at $i in doc('d.xml')//b return $i/c"),
+            (Lines{"$i/child::c"}));
+  EXPECT_EQ(VarPaths("some $x in doc('d.xml')//b satisfies $x/c"),
+            (Lines{"$x/child::c"}));
+  EXPECT_EQ(VarPaths("every $x in doc('d.xml')//b satisfies $x//c"),
+            (Lines{"$x/descendant::c"}));
+}
+
+TEST(OneItemElision, ManyItemBindingsKeepDdo) {
+  // let: used twice, so it is not folded away.
+  EXPECT_EQ(VarPaths("let $s := doc('d.xml')//b return ($s/c, $s/d)"),
+            (Lines{"$s/child::c [sort] [dedup]",
+                   "$s/child::d [sort] [dedup]"}));
+  // A function parameter, not inlined.
+  RewriterOptions no_inline;
+  no_inline.function_inlining = false;
+  EXPECT_EQ(VarPaths("declare function local:f($n) { $n/c }; "
+                     "local:f(doc('d.xml')//b)",
+                     no_inline),
+            (Lines{"$n/child::c [sort] [dedup]"}));
+  // Inlined: the parameter becomes a let that still holds the sequence.
+  EXPECT_EQ(VarPaths("declare function local:f($n) { ($n/c, $n/d) }; "
+                     "local:f(doc('d.xml')//b)"),
+            (Lines{"$n/child::c [sort] [dedup]", "$n/child::d [sort] [dedup]",
+                   "$n/child::c [sort] [dedup]",
+                   "$n/child::d [sort] [dedup]"}));
+  // typeswitch variables bind the whole operand.
+  EXPECT_EQ(VarPaths("typeswitch (doc('d.xml')//b) "
+                     "case $e as element()+ return $e/c default return ()"),
+            (Lines{"$e/child::c [sort] [dedup]"}));
+}
+
+TEST(OneItemElision, CseLetKeepsDdo) {
+  RewriterOptions cse_only = RewriterOptions::AllOff();
+  cse_only.cse = true;
+  cse_only.ddo_elision = true;
+  auto [stats, dump] = Optimize(
+      "for $x in (1, 2) return "
+      "(doc('d.xml')/r/a/b/c, doc('d.xml')/r/a/b/d)",
+      cse_only);
+  ASSERT_EQ(RuleCount(stats, "cse-factorization"), 1) << dump;
+  Lines paths = VarPaths(
+      "for $x in (1, 2) return "
+      "(doc('d.xml')/r/a/b/c, doc('d.xml')/r/a/b/d)",
+      cse_only);
+  ASSERT_EQ(paths.size(), 2u) << dump;
+  for (const std::string& line : paths) {
+    EXPECT_EQ(line.rfind("$xqp-cse-", 0), 0u) << line;
+    EXPECT_NE(line.find(" [sort] [dedup]"), std::string::npos) << line;
+  }
+}
+
+TEST(OneItemElision, CloneCarriesTheFlag) {
+  auto module = ParseQuery("for $b in doc('d.xml')//b return $b");
+  ASSERT_TRUE(module.ok());
+  ASSERT_TRUE(NormalizeModule(module->get()).ok());
+  auto* flwor = static_cast<FlworExpr*>((*module)->body.get());
+  const auto* ref = static_cast<const VarRefExpr*>(flwor->return_expr());
+  ASSERT_TRUE(ref->one_item);
+  ExprPtr copy = ref->Clone();
+  EXPECT_TRUE(static_cast<const VarRefExpr*>(copy.get())->one_item);
+  AnalyzeExpr(copy.get(), module->get());
+  EXPECT_TRUE(copy->props.singleton);
+  EXPECT_TRUE(copy->props.ordered);
+  EXPECT_TRUE(copy->props.distinct);
+  EXPECT_TRUE(copy->props.no_two_nested);
 }
 
 // ---------------------------------------------------------------------------
@@ -538,8 +685,9 @@ TEST_F(ValueJoinExplain, UnoptimizedPlansAreNeverDecorrelated) {
 TEST_F(ValueJoinExplain, NavigationQueriesCarryNoJoinPlan) {
   // Only Q8–Q12 have a correlated inner FLWOR.
   for (const XMarkQuery& q : XMarkQuerySet()) {
-    if (q.id == "Q8" || q.id == "Q9" || q.id == "Q10" || q.id == "Q11" ||
-        q.id == "Q12") {
+    const std::string_view id = q.id;
+    if (id == "Q8" || id == "Q9" || id == "Q10" || id == "Q11" ||
+        id == "Q12") {
       continue;
     }
     EXPECT_EQ(ExplainWarm(engine_, q.text).find("[join:"), std::string::npos)

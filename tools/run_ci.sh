@@ -26,12 +26,13 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
-echo "=== Release bench smoke (ingest fast path + index access paths + vm + planner + value joins) ==="
+echo "=== Release bench smoke (ingest, index access paths, vm, planner, value joins, navigation) ==="
 # A short-min-time pass over the ingest, index, vm, and planner benchmarks
 # keeps the fast-path numbers honest on every CI run; BENCH_ingest.json /
 # BENCH_parse.json / BENCH_index.json / BENCH_vm.json / BENCH_planner.json /
-# BENCH_vm_paths.json / BENCH_vm_construct.json / BENCH_value_join.json
-# land in the release build dir for the perf dashboard to pick up.
+# BENCH_vm_paths.json / BENCH_vm_construct.json / BENCH_value_join.json /
+# BENCH_nav.json land in the release build dir for the perf dashboard to
+# pick up.
 (cd "$BUILD_DIR" && \
   ./bench/bench_ingest --json --benchmark_min_time=0.1 && \
   ./bench/bench_parse --json --benchmark_min_time=0.1 \
@@ -47,6 +48,8 @@ echo "=== Release bench smoke (ingest fast path + index access paths + vm + plan
   ./bench/bench_storage --json --benchmark_min_time=0.1 \
     --benchmark_filter='BM_ColdStart.*/50' && \
   ./bench/bench_value_join --json --benchmark_min_time=0.05 \
+    --benchmark_filter='permille:50/' && \
+  ./bench/bench_nav --json --benchmark_min_time=0.05 \
     --benchmark_filter='permille:50/')
 
 echo "=== ThreadSanitizer build + tsan-labelled tests ==="

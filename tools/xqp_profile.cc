@@ -146,6 +146,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Build the tag index up front, as a serving engine that has answered a
+  // structural join holds it: descendant name steps then take the
+  // tag-slice route, and the axis.descendant.* counters below show which
+  // route each step took.
+  if (auto tags = engine.GetTagIndex("xmark.xml"); !tags.ok()) {
+    std::fprintf(stderr, "tag index build failed: %s\n",
+                 tags.status().ToString().c_str());
+    return 1;
+  }
+
   auto compiled = engine.Compile(query_text);
   if (!compiled.ok()) {
     std::fprintf(stderr, "compile error: %s\n",
