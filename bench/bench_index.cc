@@ -9,7 +9,6 @@
 
 #include "bench/bench_util.h"
 #include "index/document_indexes.h"
-#include "index/index_manager.h"
 
 namespace xqp {
 namespace {

@@ -6,16 +6,14 @@
 //   bench_nav --json     # emit BENCH_nav.json
 //
 // Args: {query index, XMark permille scale, backend, tags, optimize}.
-// tags=1 registers the document through ParseAndRegister (its base URI
-// names the registry entry) and builds the tag index, so a variable-
-// anchored descendant name step ($p//description) binary-searches that
-// name's postings. tags=0 registers the same parsed document without a
-// base URI: the peek never matches it and every descendant step scans its
-// region row by row. Both engines build the tag index up front, so the
-// access paths that use it (sjoin/twig) behave the same under both
-// settings. optimize=0 also turns off ddo elision, which is where
-// for-bound variables ($b/bidder) stop sorting their one-parent results.
-// Each configuration reports the median of 3 repetitions.
+// tags=1 builds the tag index up front, so a variable-anchored descendant
+// name step ($p//description) binary-searches that name's postings.
+// tags=0 never builds one, so every descendant step scans its region row
+// by row; the benchmark fails if its warm-up run took a tag slice (which
+// would mean a sjoin/twig access path built the index on demand).
+// optimize=0 also turns off ddo elision, which is where for-bound
+// variables ($b/bidder) stop sorting their one-parent results. Each
+// configuration reports the median of 3 repetitions.
 
 #include <benchmark/benchmark.h>
 
@@ -48,11 +46,10 @@ XQueryEngine* NavEngine(double scale, bool tags) {
   auto& slot = (*cache)[{scale, tags}];
   if (slot == nullptr) {
     auto engine = std::make_unique<XQueryEngine>();
-    Status st =
-        tags ? engine->ParseAndRegister("xmark.xml", bench::XMarkXml(scale))
-                   .status()
-             : engine->RegisterDocument("xmark.xml", bench::XMarkDoc(scale));
-    if (!st.ok() || !engine->GetTagIndex("xmark.xml").ok()) std::abort();
+    if (!engine->RegisterDocument("xmark.xml", bench::XMarkDoc(scale)).ok() ||
+        (tags && !engine->GetTagIndex("xmark.xml").ok())) {
+      std::abort();
+    }
     slot = std::move(engine);
   }
   return slot.get();
@@ -70,8 +67,18 @@ void BM_Nav(benchmark::State& state) {
   exec.backend = backend;
   // Warm the path/value indexes and the vm program outside the timed loop.
   {
+    metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+    const bool metrics_were_on = registry.enabled();
+    registry.set_enabled(true);
+    const metrics::MetricsSnapshot before = registry.Snapshot();
     auto warm = compiled->Execute(exec);
-    if (!warm.ok()) state.SkipWithError(warm.status().ToString().c_str());
+    metrics::MetricsSnapshot delta = registry.Snapshot().Delta(before);
+    registry.set_enabled(metrics_were_on);
+    if (!warm.ok()) {
+      state.SkipWithError(warm.status().ToString().c_str());
+    } else if (!tags && delta.counters["axis.descendant.tag_slice"] != 0) {
+      state.SkipWithError("tags=0 engine took the tag-slice route");
+    }
   }
   size_t items = 0;
   for (auto _ : state) {

@@ -119,16 +119,28 @@ void XQueryEngine::InvalidateCachesLocked() {
     cache_stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
   }
   result_cache_.clear();
-  tag_indexes_.clear();
-  index_manager_.Invalidate();
   ++cache_epoch_;
+}
+
+void XQueryEngine::SetDocumentLocked(const std::string& uri,
+                                     std::shared_ptr<const Document> doc) {
+  std::shared_ptr<const Document>& slot = documents_[uri];
+  if (slot == doc) return;
+  if (slot != nullptr) {
+    auto displaced = index_entries_.find(slot.get());
+    if (--displaced->second.uris == 0) index_entries_.erase(displaced);
+  }
+  IndexEntry& entry = index_entries_[doc.get()];
+  if (entry.doc == nullptr) entry.doc = doc;
+  ++entry.uris;
+  slot = std::move(doc);
 }
 
 Status XQueryEngine::RegisterDocument(const std::string& uri,
                                       std::shared_ptr<const Document> doc) {
   if (doc == nullptr) return Status::InvalidArgument("null document");
   std::unique_lock lock(mu_);
-  documents_[uri] = std::move(doc);
+  SetDocumentLocked(uri, std::move(doc));
   InvalidateCachesLocked();
   return Status::OK();
 }
@@ -175,7 +187,7 @@ Result<std::shared_ptr<const Document>> XQueryEngine::ParseAndRegister(
   std::shared_ptr<const Document> registered(doc);
   {
     std::unique_lock lock(mu_);
-    documents_[uri] = registered;
+    SetDocumentLocked(uri, registered);
     InvalidateCachesLocked();
   }
   if (persist) {
@@ -186,8 +198,7 @@ Result<std::shared_ptr<const Document>> XQueryEngine::ParseAndRegister(
     std::shared_ptr<const DocumentIndexes> indexes;
     if (options_.enable_indexes) {
       Result<std::shared_ptr<const DocumentIndexes>> built =
-          index_manager_.GetOrBuild(uri, registered,
-                                    options_.index_value_kinds);
+          DocumentIndexesFor(registered);
       if (built.ok()) indexes = std::move(built.value());
     }
     storage::SnapshotInput input;
@@ -207,9 +218,7 @@ Status XQueryEngine::SaveSnapshot(const std::string& uri,
   XQP_ASSIGN_OR_RETURN(std::shared_ptr<const Document> doc, GetDocument(uri));
   std::shared_ptr<const DocumentIndexes> indexes;
   if (options_.enable_indexes) {
-    XQP_ASSIGN_OR_RETURN(
-        indexes,
-        index_manager_.GetOrBuild(uri, doc, options_.index_value_kinds));
+    XQP_ASSIGN_OR_RETURN(indexes, DocumentIndexesFor(doc));
   }
   storage::SnapshotInput input;
   input.doc = doc.get();
@@ -238,12 +247,14 @@ std::shared_ptr<const Document> XQueryEngine::AdoptSnapshot(
     const std::string& uri, const storage::LoadedSnapshot& loaded) {
   {
     std::unique_lock lock(mu_);
-    documents_[uri] = loaded.document;
+    SetDocumentLocked(uri, loaded.document);
+    // Indexes built with other value kinds would answer differently than
+    // this engine's own build; leave those for a lazy rebuild.
+    if (options_.enable_indexes &&
+        loaded.value_kinds == options_.index_value_kinds) {
+      index_entries_.at(loaded.document.get()).indexes = loaded.indexes;
+    }
     InvalidateCachesLocked();
-  }
-  if (options_.enable_indexes && loaded.indexes != nullptr &&
-      loaded.value_kinds == options_.index_value_kinds) {
-    index_manager_.Adopt(uri, loaded.indexes);
   }
   CountStorage("storage.loads");
   return loaded.document;
@@ -305,7 +316,7 @@ XQueryEngine::LoadDocumentsParallel(std::span<const BulkDocument> docs,
     std::unique_lock lock(mu_);
     for (size_t i = 0; i < docs.size(); ++i) {
       if (!out[i].ok()) continue;
-      documents_[docs[i].uri] = out[i].value();
+      SetDocumentLocked(docs[i].uri, out[i].value());
       ++loaded;
     }
     if (loaded > 0) InvalidateCachesLocked();
@@ -419,39 +430,69 @@ Result<Sequence> XQueryEngine::GetCollection(const std::string& uri) {
   return it->second;
 }
 
-Result<std::shared_ptr<const TagIndex>> XQueryEngine::GetTagIndex(
-    const std::string& uri) {
+template <typename T, typename BuildFn>
+Result<std::shared_ptr<const T>> XQueryEngine::GetOrBuildIndex(
+    const std::shared_ptr<const Document>& doc,
+    std::shared_ptr<const T> IndexEntry::*slot, BuildFn build) {
   {
     std::shared_lock lock(mu_);
-    auto cached = tag_indexes_.find(uri);
-    if (cached != tag_indexes_.end()) return cached->second;
+    auto entry = index_entries_.find(doc.get());
+    if (entry != index_entries_.end() && entry->second.*slot != nullptr) {
+      return entry->second.*slot;
+    }
   }
-  // Build outside the lock (index construction scans the whole document);
-  // the first finished builder wins, racers adopt its index.
-  XQP_ASSIGN_OR_RETURN(std::shared_ptr<const Document> doc, GetDocument(uri));
-  auto index = std::make_shared<const TagIndex>(doc);
-  // The building query pays for the structure it materializes — without
-  // this charge a query could drive the process past XQP_MEM_BUDGET by
-  // being the first to touch a large document's tag index.
+  // Build outside the lock (a whole-document scan); the first finished
+  // builder publishes, racers adopt its structure.
+  XQP_ASSIGN_OR_RETURN(std::shared_ptr<const T> built, build());
+  // The building query pays for the structure it materializes; a tripped
+  // budget fails this query and nothing is cached.
   if (ResourceGovernor* gov = CurrentGovernor()) {
-    XQP_RETURN_NOT_OK(gov->ChargeBytes(index->MemoryUsage()));
+    XQP_RETURN_NOT_OK(gov->ChargeBytes(built->MemoryUsage()));
   }
   std::unique_lock lock(mu_);
-  auto current = documents_.find(uri);
-  if (current == documents_.end() || current->second != doc) {
-    // The document was replaced while we built; serve the (correct) index
-    // for the snapshot we read without caching it.
-    return std::shared_ptr<const TagIndex>(index);
-  }
-  auto [it, inserted] = tag_indexes_.try_emplace(uri, index);
-  return it->second;
+  auto entry = index_entries_.find(doc.get());
+  // Displaced while we built: serve the (correct) structure for the
+  // document we read without caching it.
+  if (entry == index_entries_.end()) return built;
+  std::shared_ptr<const T>& cached = entry->second.*slot;
+  if (cached == nullptr) cached = std::move(built);
+  return cached;
+}
+
+Result<std::shared_ptr<const TagIndex>> XQueryEngine::GetTagIndex(
+    const std::string& uri) {
+  XQP_ASSIGN_OR_RETURN(std::shared_ptr<const Document> doc, GetDocument(uri));
+  return GetOrBuildIndex(doc, &IndexEntry::tags, [&] {
+    return Result<std::shared_ptr<const TagIndex>>(
+        std::make_shared<const TagIndex>(doc));
+  });
 }
 
 std::shared_ptr<const TagIndex> XQueryEngine::PeekTagIndex(
-    const std::string& uri) const {
+    const Document& doc) const {
   std::shared_lock lock(mu_);
-  auto cached = tag_indexes_.find(uri);
-  return cached == tag_indexes_.end() ? nullptr : cached->second;
+  auto entry = index_entries_.find(&doc);
+  return entry == index_entries_.end() ? nullptr : entry->second.tags;
+}
+
+Result<std::shared_ptr<const DocumentIndexes>>
+XQueryEngine::DocumentIndexesFor(const std::shared_ptr<const Document>& doc) {
+  return GetOrBuildIndex(doc, &IndexEntry::indexes, [&] {
+    Result<std::shared_ptr<const DocumentIndexes>> built =
+        DocumentIndexes::Build(doc, options_.index_value_kinds);
+    if (built.ok() && metrics::Enabled()) {
+      static metrics::Counter* builds =
+          metrics::MetricsRegistry::Global().counter("index.builds");
+      static metrics::Counter* bytes =
+          metrics::MetricsRegistry::Global().counter("index.bytes");
+      static metrics::Counter* paths =
+          metrics::MetricsRegistry::Global().counter("index.synopsis_paths");
+      builds->Add(1);
+      bytes->Add(built.value()->MemoryUsage());
+      paths->Add(built.value()->NumSynopsisNodes());
+    }
+    return built;
+  });
 }
 
 Result<std::shared_ptr<const DocumentIndexes>>
@@ -460,8 +501,16 @@ XQueryEngine::GetDocumentIndexes(const std::string& uri) {
     return std::shared_ptr<const DocumentIndexes>();  // Null: fall back.
   }
   XQP_ASSIGN_OR_RETURN(std::shared_ptr<const Document> doc, GetDocument(uri));
-  return index_manager_.GetOrBuild(uri, std::move(doc),
-                                   options_.index_value_kinds);
+  return DocumentIndexesFor(doc);
+}
+
+std::shared_ptr<const DocumentIndexes> XQueryEngine::PeekDocumentIndexes(
+    const std::string& uri) const {
+  if (!options_.enable_indexes) return nullptr;
+  std::shared_lock lock(mu_);
+  auto doc = documents_.find(uri);
+  if (doc == documents_.end()) return nullptr;
+  return index_entries_.at(doc->second.get()).indexes;
 }
 
 Result<std::unique_ptr<CompiledQuery>> XQueryEngine::Compile(
@@ -509,7 +558,7 @@ Result<std::unique_ptr<CompiledQuery>> XQueryEngine::Compile(
   // the annotation at kAuto and ExplainTree refreshes it later.
   if (options_.enable_indexes) {
     IndexPeek peek = [this](const std::string& uri) {
-      return index_manager_.Peek(uri);
+      return PeekDocumentIndexes(uri);
     };
     for (UserFunction& fn : m->functions) {
       if (fn.body != nullptr) {
@@ -529,7 +578,7 @@ Result<std::unique_ptr<CompiledQuery>> XQueryEngine::Compile(
     IndexPeek peek;
     if (options_.enable_indexes) {
       peek = [this](const std::string& uri) {
-        return index_manager_.Peek(uri);
+        return PeekDocumentIndexes(uri);
       };
     }
     for (GlobalVariable& g : m->globals) {

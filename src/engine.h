@@ -18,7 +18,7 @@
 #include "exec/dynamic_context.h"
 #include "exec/lazy_seq.h"
 #include "exec/profile.h"
-#include "index/index_manager.h"
+#include "index/document_indexes.h"
 #include "join/tag_index.h"
 #include "opt/rewriter.h"
 #include "query/static_context.h"
@@ -74,7 +74,7 @@ struct EngineOptions {
   QueryLimits default_limits;
 
   /// Maintain per-document path/value indexes (index/document_indexes.h),
-  /// built lazily on first use and cached beside the tag indexes. When
+  /// built lazily on first use and cached beside the tag index. When
   /// false, compilation also skips index marking, reproducing non-indexed
   /// plans bit-identically. The XQP_INDEXES environment knob overrides:
   /// "0"/"off" disables, "1"/"on"/"all" enables both value families,
@@ -123,10 +123,11 @@ struct EngineOptions {
 /// Thread-safety contract: registration (RegisterDocument /
 /// ParseAndRegister / RegisterCollection) and execution (Execute /
 /// ExecuteCached / ExecuteBatchParallel / GetTagIndex) may be called from
-/// any number of threads concurrently. The read-mostly caches
-/// (result_cache_, tag_indexes_) sit behind a shared_mutex; statistics
-/// counters are atomics. Registration invalidates derived caches under the
-/// exclusive lock, and an epoch counter keeps an in-flight execution from
+/// any number of threads concurrently. The registry, the per-document
+/// index entries and the result cache sit behind one shared_mutex;
+/// statistics counters are atomics. Registration clears the result cache
+/// under the exclusive lock and drops the index entry of the Document it
+/// displaces only; an epoch counter keeps an in-flight execution from
 /// caching a result computed against superseded documents.
 class XQueryEngine : public DocumentProvider {
  public:
@@ -199,9 +200,7 @@ class XQueryEngine : public DocumentProvider {
   /// access-path annotation peeks so that rendering a plan can neither
   /// charge an index build nor trip injected build faults.
   std::shared_ptr<const DocumentIndexes> PeekDocumentIndexes(
-      const std::string& uri) const {
-    return options_.enable_indexes ? index_manager_.Peek(uri) : nullptr;
-  }
+      const std::string& uri) const;
 
   struct CompileOptions {
     /// Run the rewrite-rule optimizer (SQ5/optimization step).
@@ -262,13 +261,47 @@ class XQueryEngine : public DocumentProvider {
   /// sjoin/twig access paths).
   Result<std::shared_ptr<const TagIndex>> GetTagIndex(
       const std::string& uri) override;
+  /// The tag index of `doc` when `doc` is registered here and its index is
+  /// already built, else null — never builds. Keyed by identity, so a
+  /// document registered without a base URI peeks like any other.
   std::shared_ptr<const TagIndex> PeekTagIndex(
-      const std::string& uri) const override;
+      const Document& doc) const override;
 
  private:
-  /// Clears derived caches and bumps the epoch. Caller must hold mu_
+  /// The index structures of one registered Document. `doc` pins the
+  /// Document, so its address — the entry's key — cannot be reused while
+  /// the entry exists. Each structure is built on first use (or, for
+  /// `indexes`, adopted from a snapshot) and then shared by every query.
+  struct IndexEntry {
+    std::shared_ptr<const Document> doc;
+    /// How many URIs of documents_ name `doc`; the entry goes at zero.
+    size_t uris = 0;
+    std::shared_ptr<const TagIndex> tags;
+    std::shared_ptr<const DocumentIndexes> indexes;
+  };
+
+  /// Clears the result cache and bumps the epoch. Caller must hold mu_
   /// exclusively.
   void InvalidateCachesLocked();
+
+  /// Points `uri` at `doc`, creating `doc`'s index entry if it has none
+  /// and dropping the displaced Document's entry once no URI names it.
+  /// Caller must hold mu_ exclusively.
+  void SetDocumentLocked(const std::string& uri,
+                         std::shared_ptr<const Document> doc);
+
+  /// `doc`'s DocumentIndexes, built on first use.
+  Result<std::shared_ptr<const DocumentIndexes>> DocumentIndexesFor(
+      const std::shared_ptr<const Document>& doc);
+
+  /// The structure `slot` of `doc`'s entry: the cached one, else `build()`
+  /// run outside the lock, charged to the calling query's governor, and
+  /// published only if `doc` still has an entry (a Document displaced
+  /// meanwhile gets its structure served uncached).
+  template <typename T, typename BuildFn>
+  Result<std::shared_ptr<const T>> GetOrBuildIndex(
+      const std::shared_ptr<const Document>& doc,
+      std::shared_ptr<const T> IndexEntry::*slot, BuildFn build);
 
   /// ExecuteCached with an optional extra cancel token — the batch-wide
   /// snapshot ExecuteBatchParallel takes so CancelAll() reaches batch
@@ -285,15 +318,12 @@ class XQueryEngine : public DocumentProvider {
   EngineOptions options_;
 
   /// Guards the maps below. Executions take it shared; registration and
-  /// cache fills take it exclusive.
+  /// cache fills take it exclusive. Index builds run without it.
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<const Document>> documents_;
   std::map<std::string, Sequence> collections_;
-  std::map<std::string, std::shared_ptr<const TagIndex>> tag_indexes_;
-  /// Path/value index cache; owns its own lock (never taken while holding
-  /// mu_ exclusively except for invalidation, and it never calls back into
-  /// the engine, so the mu_ -> index lock order is acyclic).
-  IndexManager index_manager_;
+  /// One entry per Document that documents_ names, keyed by identity.
+  std::map<const Document*, IndexEntry> index_entries_;
   std::map<std::string, Sequence, std::less<>> result_cache_;
   /// Incremented on every invalidation; ExecuteCached only inserts a
   /// result computed in the current epoch.

@@ -106,11 +106,9 @@ AxisCursor::AxisCursor(const Node& origin, Axis axis, const NodeTest* test,
 
 void AxisCursor::TrySlice(const DocumentProvider& provider) {
   if (test_ == nullptr || !IsExactElementName(*test_)) return;
-  const Document& doc = origin_.doc();
-  if (doc.base_uri().empty() || scan_ > scan_end_) return;
-  std::shared_ptr<const TagIndex> tags = provider.PeekTagIndex(doc.base_uri());
-  // Identity, not URI: the index must describe these very rows.
-  if (tags == nullptr || &tags->doc() != &doc) return;
+  if (scan_ > scan_end_) return;
+  std::shared_ptr<const TagIndex> tags = provider.PeekTagIndex(origin_.doc());
+  if (tags == nullptr) return;
   if (const std::vector<NodeIndex>* postings =
           tags->Lookup(test_->uri, test_->local)) {
     const NodeIndex* first = postings->data();

@@ -33,7 +33,7 @@ class DocumentProvider {
   /// Secondary index structures for `uri` (index/document_indexes.h), or
   /// nullptr when the provider does not maintain indexes — path evaluation
   /// then falls back to navigation/structural joins. The engine overrides
-  /// this with the lazily built, cached IndexManager entry.
+  /// this with the lazily built structure of the document's index entry.
   virtual Result<std::shared_ptr<const DocumentIndexes>> GetDocumentIndexes(
       const std::string& uri) {
     (void)uri;
@@ -48,13 +48,13 @@ class DocumentProvider {
     (void)uri;
     return std::shared_ptr<const TagIndex>();
   }
-  /// The tag index for `uri` if one is already built, or nullptr — never
-  /// builds. Descendant name steps probe it per origin (exec/axes.h) and
-  /// use it only when it indexes the origin's very Document, so a
-  /// re-registered or constructed document falls back to the scan.
+  /// The tag index over exactly `doc` if one is already built, or nullptr
+  /// — never builds. Descendant name steps probe it per origin
+  /// (exec/axes.h), so a superseded or constructed document, which has no
+  /// index, falls back to the scan.
   virtual std::shared_ptr<const TagIndex> PeekTagIndex(
-      const std::string& uri) const {
-    (void)uri;
+      const Document& doc) const {
+    (void)doc;
     return nullptr;
   }
 };

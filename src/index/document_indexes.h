@@ -37,7 +37,7 @@ enum IndexValueKinds : uint32_t {
 ///      scan plus a doc-order merge.
 ///
 /// Instances are immutable after Build() and shared freely across threads;
-/// IndexManager caches them per engine with epoch invalidation.
+/// the engine caches them in each registered document's index entry.
 class DocumentIndexes {
  public:
   /// One distinct root-to-node label path. Node 0 is the document root

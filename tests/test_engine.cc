@@ -1,7 +1,14 @@
 #include "engine.h"
 
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "base/limits.h"
+#include "base/metrics.h"
 #include "tests/test_util.h"
 
 namespace xqp {
@@ -152,13 +159,229 @@ TEST(Engine, TwigJoinRejectsNonPath) {
             "2");
 }
 
-TEST(Engine, TagIndexCachedPerDocument) {
+// --- Per-document index entries -------------------------------------------
+//
+// Each registered Document owns one entry holding its TagIndex and its
+// DocumentIndexes. Registration drops only the entry of the Document it
+// displaces, and only once no URI names that Document any more.
+
+class IndexEntryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_enabled_ = registry().enabled();
+    registry().set_enabled(true);
+  }
+  void TearDown() override { registry().set_enabled(was_enabled_); }
+
+  static metrics::MetricsRegistry& registry() {
+    return metrics::MetricsRegistry::Global();
+  }
+  static uint64_t IndexBuilds() {
+    return registry().Snapshot().counters["index.builds"];
+  }
+
+  /// Builds A's tag index and DocumentIndexes and remembers them.
+  void BuildA(XQueryEngine* engine) {
+    XQP_ASSERT_OK_AND_ASSIGN(tags_, engine->GetTagIndex("a.xml"));
+    XQP_ASSERT_OK_AND_ASSIGN(indexes_, engine->GetDocumentIndexes("a.xml"));
+    ASSERT_NE(tags_, nullptr);
+    ASSERT_NE(indexes_, nullptr);
+  }
+
+  /// A's entry still holds the structures BuildA saw, and asking for them
+  /// again builds nothing.
+  void ExpectAKept(XQueryEngine* engine) {
+    const uint64_t builds = IndexBuilds();
+    XQP_ASSERT_OK_AND_ASSIGN(auto tags, engine->GetTagIndex("a.xml"));
+    XQP_ASSERT_OK_AND_ASSIGN(auto indexes, engine->GetDocumentIndexes("a.xml"));
+    EXPECT_EQ(tags.get(), tags_.get());
+    EXPECT_EQ(indexes.get(), indexes_.get());
+    EXPECT_EQ(IndexBuilds(), builds);
+    XQP_ASSERT_OK_AND_ASSIGN(auto doc, engine->GetDocument("a.xml"));
+    EXPECT_EQ(engine->PeekTagIndex(*doc).get(), tags_.get());
+    EXPECT_EQ(engine->PeekDocumentIndexes("a.xml").get(), indexes_.get());
+  }
+
+  bool was_enabled_ = false;
+  std::shared_ptr<const TagIndex> tags_;
+  std::shared_ptr<const DocumentIndexes> indexes_;
+};
+
+TEST_F(IndexEntryTest, BuildsOncePerDocument) {
   XQueryEngine engine;
-  XQP_ASSERT_OK(engine.ParseAndRegister("d.xml", "<r><a/></r>").status());
-  XQP_ASSERT_OK_AND_ASSIGN(auto i1, engine.GetTagIndex("d.xml"));
-  XQP_ASSERT_OK_AND_ASSIGN(auto i2, engine.GetTagIndex("d.xml"));
-  EXPECT_EQ(i1.get(), i2.get());
+  XQP_ASSERT_OK(engine.ParseAndRegister("a.xml", "<r><a>1</a></r>").status());
+  const uint64_t before = IndexBuilds();
+  BuildA(&engine);
+  EXPECT_EQ(IndexBuilds(), before + 1);
+  ExpectAKept(&engine);
   EXPECT_FALSE(engine.GetTagIndex("missing.xml").ok());
+  EXPECT_FALSE(engine.GetDocumentIndexes("missing.xml").ok());
+  EXPECT_EQ(engine.PeekDocumentIndexes("missing.xml"), nullptr);
+}
+
+TEST_F(IndexEntryTest, RegisteringAnotherUriKeepsTheEntry) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("a.xml", "<r><a>1</a></r>").status());
+  BuildA(&engine);
+  XQP_ASSERT_OK(engine.ParseAndRegister("b.xml", "<s/>").status());
+  XQP_ASSERT_OK_AND_ASSIGN(auto b, Document::Parse("<t/>"));
+  XQP_ASSERT_OK(engine.RegisterDocument("b.xml", b));
+  ExpectAKept(&engine);
+}
+
+TEST_F(IndexEntryTest, NewDocumentUnderTheUriDropsTheEntry) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK_AND_ASSIGN(
+      auto old_doc, engine.ParseAndRegister("a.xml", "<r><a>1</a></r>"));
+  BuildA(&engine);
+  XQP_ASSERT_OK_AND_ASSIGN(
+      auto new_doc, engine.ParseAndRegister("a.xml", "<r><a>2</a></r>"));
+  EXPECT_EQ(engine.PeekTagIndex(*old_doc), nullptr);
+  EXPECT_EQ(engine.PeekTagIndex(*new_doc), nullptr);
+  EXPECT_EQ(engine.PeekDocumentIndexes("a.xml"), nullptr);
+
+  const uint64_t before = IndexBuilds();
+  XQP_ASSERT_OK_AND_ASSIGN(auto tags, engine.GetTagIndex("a.xml"));
+  XQP_ASSERT_OK_AND_ASSIGN(auto indexes, engine.GetDocumentIndexes("a.xml"));
+  EXPECT_EQ(IndexBuilds(), before + 1);
+  EXPECT_NE(tags.get(), tags_.get());
+  EXPECT_NE(indexes.get(), indexes_.get());
+  EXPECT_EQ(&tags->doc(), new_doc.get());
+  EXPECT_EQ(indexes->doc_ptr(), new_doc);
+  EXPECT_EQ(engine.PeekTagIndex(*old_doc), nullptr);
+}
+
+TEST_F(IndexEntryTest, SameDocumentReregisteredKeepsTheEntry) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK_AND_ASSIGN(
+      auto doc, engine.ParseAndRegister("a.xml", "<r><a>1</a></r>"));
+  BuildA(&engine);
+  XQP_ASSERT_OK(engine.RegisterDocument("a.xml", doc));
+  ExpectAKept(&engine);
+}
+
+TEST_F(IndexEntryTest, DocumentUnderTwoUrisKeepsItsEntryUntilBothMove) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK_AND_ASSIGN(auto doc, Document::Parse("<r><a>1</a></r>"));
+  XQP_ASSERT_OK(engine.RegisterDocument("a.xml", doc));
+  XQP_ASSERT_OK(engine.RegisterDocument("alias.xml", doc));
+  BuildA(&engine);
+  // The alias shares the entry.
+  XQP_ASSERT_OK_AND_ASSIGN(auto alias_tags, engine.GetTagIndex("alias.xml"));
+  EXPECT_EQ(alias_tags.get(), tags_.get());
+
+  XQP_ASSERT_OK(engine.ParseAndRegister("alias.xml", "<other/>").status());
+  ExpectAKept(&engine);
+  XQP_ASSERT_OK(engine.ParseAndRegister("a.xml", "<other/>").status());
+  EXPECT_EQ(engine.PeekTagIndex(*doc), nullptr);
+}
+
+TEST_F(IndexEntryTest, CollectionsAndBatchesForOtherUrisKeepTheEntry) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK(engine.ParseAndRegister("a.xml", "<r><a>1</a></r>").status());
+  BuildA(&engine);
+
+  XQP_ASSERT_OK(engine.RegisterCollection("c", Sequence()));
+  ExpectAKept(&engine);
+
+  std::vector<XQueryEngine::BulkDocument> batch = {{"b.xml", "<b/>"},
+                                                   {"c.xml", "<c/>"}};
+  for (const auto& r : engine.LoadDocumentsParallel(batch)) {
+    XQP_ASSERT_OK(r.status());
+  }
+  ExpectAKept(&engine);
+
+  // A batch member for A that fails to parse leaves A registered as it
+  // was, entry included.
+  std::vector<XQueryEngine::BulkDocument> failing = {{"a.xml", "<r><a>"},
+                                                     {"d.xml", "<d/>"}};
+  auto out = engine.LoadDocumentsParallel(failing);
+  EXPECT_FALSE(out[0].ok());
+  XQP_ASSERT_OK(out[1].status());
+  ExpectAKept(&engine);
+}
+
+TEST_F(IndexEntryTest, AdoptedSnapshotIndexesSurviveOtherRegistrations) {
+  const std::string path = ::testing::TempDir() + "/xqp_index_entry.xqps";
+  {
+    XQueryEngine writer;
+    XQP_ASSERT_OK(
+        writer.ParseAndRegister("a.xml", "<r><a>1</a><a>2</a></r>").status());
+    XQP_ASSERT_OK(writer.SaveSnapshot("a.xml", path));
+  }
+  XQueryEngine engine;
+  const uint64_t before = IndexBuilds();
+  XQP_ASSERT_OK(engine.LoadDocumentSnapshot("a.xml", path).status());
+  indexes_ = engine.PeekDocumentIndexes("a.xml");
+  ASSERT_NE(indexes_, nullptr);
+  XQP_ASSERT_OK_AND_ASSIGN(tags_, engine.GetTagIndex("a.xml"));
+
+  XQP_ASSERT_OK(engine.ParseAndRegister("b.xml", "<b/>").status());
+  ExpectAKept(&engine);
+  EXPECT_EQ(IndexBuilds(), before);
+  std::remove(path.c_str());
+}
+
+TEST_F(IndexEntryTest, BudgetTripDuringABuildCachesNothing) {
+  XQueryEngine engine;
+  XQP_ASSERT_OK_AND_ASSIGN(
+      auto doc, engine.ParseAndRegister("a.xml", "<r><a>1</a><b>2</b></r>"));
+  {
+    QueryLimits limits;
+    limits.memory_budget_bytes = 1;
+    ResourceGovernor governor(limits);
+    GovernorScope scope(&governor);
+    auto tags = engine.GetTagIndex("a.xml");
+    ASSERT_FALSE(tags.ok());
+    EXPECT_EQ(tags.status().code(), StatusCode::kResourceExhausted);
+  }
+  {
+    QueryLimits limits;
+    limits.memory_budget_bytes = 1;
+    ResourceGovernor governor(limits);
+    GovernorScope scope(&governor);
+    auto indexes = engine.GetDocumentIndexes("a.xml");
+    ASSERT_FALSE(indexes.ok());
+    EXPECT_EQ(indexes.status().code(), StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(engine.PeekTagIndex(*doc), nullptr);
+  EXPECT_EQ(engine.PeekDocumentIndexes("a.xml"), nullptr);
+  // Without the budget the next caller builds and caches them.
+  BuildA(&engine);
+  ExpectAKept(&engine);
+}
+
+TEST_F(IndexEntryTest, ConcurrentFirstBuildsConverge) {
+  XQueryEngine engine;
+  std::string xml = "<r>";
+  for (int i = 0; i < 2000; ++i) {
+    xml += "<a n='" + std::to_string(i) + "'><b>" + std::to_string(i) +
+           "</b></a>";
+  }
+  xml += "</r>";
+  XQP_ASSERT_OK(engine.ParseAndRegister("a.xml", xml).status());
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const TagIndex>> tags(kThreads);
+  std::vector<std::shared_ptr<const DocumentIndexes>> indexes(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        auto tag = engine.GetTagIndex("a.xml");
+        auto idx = engine.GetDocumentIndexes("a.xml");
+        if (tag.ok()) tags[t] = tag.value();
+        if (idx.ok()) indexes[t] = idx.value();
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  tags_ = engine.GetTagIndex("a.xml").ValueOrDie();
+  indexes_ = engine.GetDocumentIndexes("a.xml").ValueOrDie();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(tags[t].get(), tags_.get());
+    EXPECT_EQ(indexes[t].get(), indexes_.get());
+  }
+  ExpectAKept(&engine);
 }
 
 TEST(Engine, MemoizationCachesPureQueries) {

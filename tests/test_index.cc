@@ -1,21 +1,19 @@
 // Path-synopsis / value-index subsystem tests: build correctness on edge
 // documents, index-answered queries against the navigational reference,
-// planner fallback behavior, cache lifecycle, and resource governance of
-// index builds. The randomized indexed-vs-unindexed cross-check lives in
-// test_differential.cc; these are the targeted cases.
+// planner fallback behavior, and resource governance of index builds. The
+// engine's per-document index lifecycle is tested in test_engine.cc, the
+// randomized indexed-vs-unindexed cross-check in test_differential.cc;
+// these are the targeted cases.
 
 #include "index/document_indexes.h"
 
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/fault.h"
 #include "engine.h"
-#include "index/index_manager.h"
 #include "index/index_planner.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"
@@ -135,57 +133,6 @@ TEST(DocumentIndexes, BuildFailsUnderFaultInjection) {
   auto idx = DocumentIndexes::Build(doc, kIndexValueAll);
   ASSERT_FALSE(idx.ok());
   EXPECT_EQ(idx.status().code(), StatusCode::kInternal);
-}
-
-// --- IndexManager lifecycle -----------------------------------------------
-
-TEST(IndexManager, CachesPerUriAndInvalidatesOnNewSnapshot) {
-  IndexManager manager;
-  XQP_ASSERT_OK_AND_ASSIGN(auto doc1, Document::Parse("<r><a>1</a></r>"));
-  XQP_ASSERT_OK_AND_ASSIGN(
-      auto first, manager.GetOrBuild("d.xml", doc1, kIndexValueAll));
-  XQP_ASSERT_OK_AND_ASSIGN(
-      auto again, manager.GetOrBuild("d.xml", doc1, kIndexValueAll));
-  EXPECT_EQ(first.get(), again.get());
-  EXPECT_EQ(manager.NumCached(), 1u);
-
-  // A new document snapshot under the same URI must rebuild.
-  XQP_ASSERT_OK_AND_ASSIGN(auto doc2, Document::Parse("<r><a>2</a></r>"));
-  XQP_ASSERT_OK_AND_ASSIGN(
-      auto rebuilt, manager.GetOrBuild("d.xml", doc2, kIndexValueAll));
-  EXPECT_NE(rebuilt.get(), first.get());
-  EXPECT_EQ(rebuilt->doc_ptr().get(), doc2.get());
-
-  manager.Invalidate();
-  EXPECT_EQ(manager.NumCached(), 0u);
-}
-
-TEST(IndexManager, ConcurrentGetOrBuildConverges) {
-  IndexManager manager;
-  XQP_ASSERT_OK_AND_ASSIGN(auto doc, Document::Parse(XMarkXml()));
-  constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const DocumentIndexes>> got(kThreads);
-  std::atomic<int> failures{0};
-  {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto idx = manager.GetOrBuild("x.xml", doc, kIndexValueAll);
-        if (idx.ok()) {
-          got[t] = idx.value();
-        } else {
-          failures.fetch_add(1);
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(manager.NumCached(), 1u);
-  for (int t = 0; t < kThreads; ++t) {
-    ASSERT_NE(got[t], nullptr);
-    EXPECT_EQ(got[t]->doc_ptr().get(), doc.get());
-  }
 }
 
 // --- Engine integration ---------------------------------------------------

@@ -58,7 +58,7 @@ cmake -B "$TSAN_DIR" -S . \
   -DXQP_SANITIZE=thread
 cmake --build "$TSAN_DIR" \
   --target test_parallel test_metrics test_ingest test_index test_vm \
-  test_planner test_storage test_differential \
+  test_planner test_storage test_differential test_engine \
   -j"$(nproc)"
 
 export XQP_THREADS=4
@@ -76,8 +76,8 @@ cmake -B "$ASAN_DIR" -S . \
   -DXQP_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" \
   --target test_string_pool test_robustness test_ingest test_index \
-  test_vm test_planner test_storage test_differential fuzz_pull_parser \
-  fuzz_query_parser fuzz_snapshot \
+  test_vm test_planner test_storage test_differential test_engine \
+  fuzz_pull_parser fuzz_query_parser fuzz_snapshot \
   -j"$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
