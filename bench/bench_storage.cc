@@ -5,7 +5,8 @@
 // Experiment E20 — persistent snapshots: cold-start cost of mmap-opening a
 // saved snapshot (document + indexes, full validation) vs. re-parsing the
 // XML and rebuilding the indexes from scratch. The ratio is the payoff of
-// the storage subsystem's O(1) reopen path.
+// the storage subsystem's O(1) reopen path. BM_Snapshot_Save times the
+// write side.
 
 #include <benchmark/benchmark.h>
 
@@ -175,6 +176,32 @@ void BM_ColdStart_SnapshotOpen(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
 }
 BENCHMARK(BM_ColdStart_SnapshotOpen)->Arg(50)->Arg(200);
+
+/// Saving a snapshot (document + path/value indexes) with the crash-atomic
+/// write protocol: section layout and checksums, the writev of every
+/// section from its own memory, fsync and rename.
+void BM_Snapshot_Save(benchmark::State& state) {
+  double scale = bench::ScaleFromArg(state.range(0));
+  auto doc = bench::XMarkDoc(scale);
+  auto indexes = DocumentIndexes::Build(doc, kIndexValueAll).ValueOrDie();
+  storage::SnapshotInput input;
+  input.doc = doc.get();
+  input.indexes = indexes.get();
+  const std::string path =
+      "bench_snapshot_save_" + std::to_string(int(scale * 1000)) + ".xqps";
+  for (auto _ : state) {
+    Status st = storage::WriteSnapshotFile(path, input);
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+  }
+  struct stat st{};
+  if (::stat(path.c_str(), &st) == 0) {
+    state.counters["snapshot_bytes"] = static_cast<double>(st.st_size);
+    state.SetBytesProcessed(static_cast<int64_t>(st.st_size) *
+                            state.iterations());
+  }
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_Snapshot_Save)->Arg(50)->Arg(200)->UseRealTime();
 
 /// The path the snapshot replaces: parse the XML text and rebuild both
 /// index families.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 
 #include "base/metrics.h"
@@ -168,90 +170,118 @@ std::vector<int32_t> ResolveStep(const DocumentIndexes& idx,
 /// synopsis set: the document-order distinct node set on those paths.
 std::vector<NodeIndex> MergedPostings(const DocumentIndexes& idx,
                                       const std::vector<int32_t>& syn) {
-  if (syn.size() == 1) return idx.postings(syn[0]);
   std::vector<NodeIndex> out;
   size_t total = 0;
   for (int32_t s : syn) total += idx.postings(s).size();
   out.reserve(total);
   for (int32_t s : syn) {
-    const auto& p = idx.postings(s);
+    const std::span<const NodeIndex> p = idx.postings(s);
     out.insert(out.end(), p.begin(), p.end());
   }
-  std::sort(out.begin(), out.end());
+  if (syn.size() > 1) std::sort(out.begin(), out.end());
   return out;
 }
 
-void AppendRange(
-    std::vector<std::pair<std::string, NodeIndex>>::const_iterator lo,
-    std::vector<std::pair<std::string, NodeIndex>>::const_iterator hi,
-    std::vector<NodeIndex>* out) {
-  for (auto it = lo; it != hi; ++it) out->push_back(it->second);
-}
+/// The entries of one sorted value family that satisfy `op` against a
+/// literal: at most two position ranges [begin, end).
+struct MatchRanges {
+  size_t begin[2] = {0, 0};
+  size_t end[2] = {0, 0};
+};
 
-void AppendRange(
-    std::vector<std::pair<double, NodeIndex>>::const_iterator lo,
-    std::vector<std::pair<double, NodeIndex>>::const_iterator hi,
-    std::vector<NodeIndex>* out) {
-  for (auto it = lo; it != hi; ++it) out->push_back(it->second);
-}
-
-/// Range scan over one path's sorted string postings, mirroring
-/// general-comparison string semantics (byte-wise compare).
-void ScanStrings(const DocumentIndexes::ValuePostings& vp, CompOp op,
-                 const std::string& val, std::vector<NodeIndex>* out) {
-  const auto& v = vp.by_string;
-  auto lo = std::lower_bound(
-      v.begin(), v.end(), val,
-      [](const auto& p, const std::string& s) { return p.first < s; });
-  auto hi = std::upper_bound(
-      v.begin(), v.end(), val,
-      [](const std::string& s, const auto& p) { return s < p.first; });
+/// Where a literal falls in a sorted family — [0, lo) orders below it,
+/// [lo, hi) equals it, [hi, ordered) orders above it, [ordered, size) is
+/// unordered against it (NaN entries, or everything for a NaN literal) —
+/// and the ranges `op` selects, mirroring ApplyOpNanAware: an unordered
+/// pair satisfies only !=. The one place both the scan and the count-only
+/// estimator get their bounds.
+MatchRanges RangesFor(CompOp op, size_t lo, size_t hi, size_t ordered,
+                      size_t size) {
+  MatchRanges m;
+  auto set = [&m](int i, size_t b, size_t e) {
+    m.begin[i] = b;
+    m.end[i] = e;
+  };
   switch (op) {
-    case CompOp::kGenEq: AppendRange(lo, hi, out); break;
+    case CompOp::kGenEq: set(0, lo, hi); break;
     case CompOp::kGenNe:
-      AppendRange(v.begin(), lo, out);
-      AppendRange(hi, v.end(), out);
+      // Everything but the equal run — unordered entries included.
+      set(0, 0, lo);
+      set(1, hi, size);
       break;
-    case CompOp::kGenLt: AppendRange(v.begin(), lo, out); break;
-    case CompOp::kGenLe: AppendRange(v.begin(), hi, out); break;
-    case CompOp::kGenGt: AppendRange(hi, v.end(), out); break;
-    case CompOp::kGenGe: AppendRange(lo, v.end(), out); break;
+    case CompOp::kGenLt: set(0, 0, lo); break;
+    case CompOp::kGenLe: set(0, 0, hi); break;
+    case CompOp::kGenGt: set(0, hi, ordered); break;
+    case CompOp::kGenGe: set(0, lo, ordered); break;
     default: break;
   }
+  return m;
 }
 
-/// Range scan over one path's sorted numeric postings (NaN entries last),
-/// mirroring ApplyOpNanAware: an unordered pair satisfies only !=.
-void ScanNumbers(const DocumentIndexes::ValuePostings& vp, CompOp op,
-                 double val, std::vector<NodeIndex>* out) {
-  const auto& v = vp.by_number;
+/// Byte-wise bounds over a string family (general-comparison string
+/// semantics); every entry is ordered against a string.
+MatchRanges StringRanges(const DocumentIndexes& idx,
+                         std::span<const DocumentIndexes::StringEntry> v,
+                         std::string_view val, CompOp op) {
+  auto value = [&idx](const DocumentIndexes::StringEntry& e) {
+    return idx.StringValue(e.ref);
+  };
+  auto lo = std::partition_point(
+      v.begin(), v.end(), [&](const auto& e) { return value(e) < val; });
+  auto hi = std::partition_point(
+      lo, v.end(), [&](const auto& e) { return !(val < value(e)); });
+  return RangesFor(op, lo - v.begin(), hi - v.begin(), v.size(), v.size());
+}
+
+/// Numeric bounds over a number family (NaN entries last).
+MatchRanges NumberRanges(std::span<const DocumentIndexes::NumberEntry> v,
+                         double val, CompOp op) {
+  if (std::isnan(val)) return RangesFor(op, 0, 0, 0, v.size());
   auto nan_begin = std::partition_point(
-      v.begin(), v.end(), [](const auto& p) { return !std::isnan(p.first); });
-  if (std::isnan(val)) {
-    // NaN literal: every pair is unordered, so != matches everything and
-    // the ordering operators match nothing.
-    if (op == CompOp::kGenNe) AppendRange(v.begin(), v.end(), out);
-    return;
+      v.begin(), v.end(), [](const auto& e) { return !std::isnan(e.value); });
+  auto lo = std::partition_point(
+      v.begin(), nan_begin, [&](const auto& e) { return e.value < val; });
+  auto hi = std::partition_point(
+      lo, nan_begin, [&](const auto& e) { return !(val < e.value); });
+  return RangesFor(op, lo - v.begin(), hi - v.begin(), nan_begin - v.begin(),
+                   v.size());
+}
+
+/// Resolves the value predicate's target paths under a synopsis frontier
+/// and calls `fn(family, ranges)` with each target path's family and the
+/// ranges matching `pred`. False when the value index cannot prove the
+/// predicate (fall back); a target name absent from the document visits
+/// nothing.
+template <typename Fn>
+bool ForEachPredicateMatch(const DocumentIndexes& idx,
+                           const std::vector<int32_t>& frontier,
+                           const IndexPredicate& pred, Fn fn) {
+  const Document& doc = idx.doc();
+  bool numeric = pred.operand.IsNumeric();
+  if (numeric && !(idx.value_kinds() & kIndexValueNumeric)) return false;
+  if (!numeric && !(idx.value_kinds() & kIndexValueString)) return false;
+  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
+  if (tname == kNoName) return true;  // Never satisfied.
+  NodeKind tkind =
+      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
+  std::string sval = numeric ? std::string() : pred.operand.AsString();
+  double dval = numeric ? pred.operand.NumericAsDouble() : 0.0;
+  for (int32_t s : frontier) {
+    int32_t t = idx.FindChild(s, tkind, tname);
+    if (t < 0) continue;
+    std::optional<DocumentIndexes::ValuePostings> vp = idx.values(t);
+    if (!vp || !vp->indexable) return false;
+    if (numeric) {
+      // A single uncastable value on the path means normal evaluation
+      // would raise FORG0001 the moment it compares that node; only the
+      // fallback plan can reproduce that.
+      if (!vp->all_numeric) return false;
+      fn(vp->by_number, NumberRanges(vp->by_number, dval, pred.op));
+    } else {
+      fn(vp->by_string, StringRanges(idx, vp->by_string, sval, pred.op));
+    }
   }
-  auto lo = std::lower_bound(
-      v.begin(), nan_begin, val,
-      [](const auto& p, double d) { return p.first < d; });
-  auto hi = std::upper_bound(
-      v.begin(), nan_begin, val,
-      [](double d, const auto& p) { return d < p.first; });
-  switch (op) {
-    case CompOp::kGenEq: AppendRange(lo, hi, out); break;
-    case CompOp::kGenNe:
-      // Everything but the equal run — NaN-valued nodes included.
-      AppendRange(v.begin(), lo, out);
-      AppendRange(hi, v.end(), out);
-      break;
-    case CompOp::kGenLt: AppendRange(v.begin(), lo, out); break;
-    case CompOp::kGenLe: AppendRange(v.begin(), hi, out); break;
-    case CompOp::kGenGt: AppendRange(hi, nan_begin, out); break;
-    case CompOp::kGenGe: AppendRange(lo, nan_begin, out); break;
-    default: break;
-  }
+  return true;
 }
 
 /// Applies the value predicate over a synopsis frontier: range-scans the
@@ -262,35 +292,17 @@ std::optional<std::vector<NodeIndex>> ApplyPredicate(
     const DocumentIndexes& idx, const std::vector<int32_t>& frontier,
     const IndexPredicate& pred) {
   const Document& doc = idx.doc();
-  bool numeric = pred.operand.IsNumeric();
-  if (numeric && !(idx.value_kinds() & kIndexValueNumeric)) return std::nullopt;
-  if (!numeric && !(idx.value_kinds() & kIndexValueString)) return std::nullopt;
-  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
-  if (tname == kNoName) return std::vector<NodeIndex>{};  // Never satisfied.
-  NodeKind tkind =
-      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
-  std::vector<NodeIndex> targets;
-  std::string sval = numeric ? std::string() : pred.operand.AsString();
-  double dval = numeric ? pred.operand.NumericAsDouble() : 0.0;
-  for (int32_t s : frontier) {
-    int32_t t = idx.FindChild(s, tkind, tname);
-    if (t < 0) continue;
-    const DocumentIndexes::ValuePostings* vp = idx.values(t);
-    if (vp == nullptr || !vp->indexable) return std::nullopt;
-    if (numeric) {
-      // A single uncastable value on the path means normal evaluation
-      // would raise FORG0001 the moment it compares that node; only the
-      // fallback plan can reproduce that.
-      if (!vp->all_numeric) return std::nullopt;
-      ScanNumbers(*vp, pred.op, dval, &targets);
-    } else {
-      ScanStrings(*vp, pred.op, sval, &targets);
-    }
-  }
   // Existential semantics: a base qualifies when any target child matched.
   std::vector<NodeIndex> bases;
-  bases.reserve(targets.size());
-  for (NodeIndex t : targets) bases.push_back(doc.node(t).parent);
+  bool provable = ForEachPredicateMatch(
+      idx, frontier, pred, [&](auto family, const MatchRanges& m) {
+        for (int i = 0; i < 2; ++i) {
+          for (size_t k = m.begin[i]; k < m.end[i]; ++k) {
+            bases.push_back(doc.node(family[k].node).parent);
+          }
+        }
+      });
+  if (!provable) return std::nullopt;
   std::sort(bases.begin(), bases.end());
   bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
   return bases;
@@ -580,66 +592,12 @@ std::optional<size_t> CountPredicateMatches(
     const DocumentIndexes& idx, const std::vector<int32_t>& frontier,
     const IndexPredicate& pred) {
   if (pred.positional) return std::nullopt;
-  const Document& doc = idx.doc();
-  bool numeric = pred.operand.IsNumeric();
-  if (numeric && !(idx.value_kinds() & kIndexValueNumeric)) return std::nullopt;
-  if (!numeric && !(idx.value_kinds() & kIndexValueString)) return std::nullopt;
-  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
-  if (tname == kNoName) return size_t{0};  // Never satisfied.
-  NodeKind tkind =
-      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
-  std::string sval = numeric ? std::string() : pred.operand.AsString();
-  double dval = numeric ? pred.operand.NumericAsDouble() : 0.0;
   size_t total = 0;
-  for (int32_t s : frontier) {
-    int32_t t = idx.FindChild(s, tkind, tname);
-    if (t < 0) continue;
-    const DocumentIndexes::ValuePostings* vp = idx.values(t);
-    if (vp == nullptr || !vp->indexable) return std::nullopt;
-    if (numeric) {
-      if (!vp->all_numeric) return std::nullopt;
-      const auto& v = vp->by_number;
-      auto nan_begin = std::partition_point(
-          v.begin(), v.end(),
-          [](const auto& p) { return !std::isnan(p.first); });
-      if (std::isnan(dval)) {
-        if (pred.op == CompOp::kGenNe) total += v.size();
-        continue;
-      }
-      auto lo = std::lower_bound(
-          v.begin(), nan_begin, dval,
-          [](const auto& p, double d) { return p.first < d; });
-      auto hi = std::upper_bound(
-          v.begin(), nan_begin, dval,
-          [](double d, const auto& p) { return d < p.first; });
-      switch (pred.op) {
-        case CompOp::kGenEq: total += hi - lo; break;
-        case CompOp::kGenNe: total += v.size() - (hi - lo); break;
-        case CompOp::kGenLt: total += lo - v.begin(); break;
-        case CompOp::kGenLe: total += hi - v.begin(); break;
-        case CompOp::kGenGt: total += nan_begin - hi; break;
-        case CompOp::kGenGe: total += nan_begin - lo; break;
-        default: break;
-      }
-    } else {
-      const auto& v = vp->by_string;
-      auto lo = std::lower_bound(
-          v.begin(), v.end(), sval,
-          [](const auto& p, const std::string& s) { return p.first < s; });
-      auto hi = std::upper_bound(
-          v.begin(), v.end(), sval,
-          [](const std::string& s, const auto& p) { return s < p.first; });
-      switch (pred.op) {
-        case CompOp::kGenEq: total += hi - lo; break;
-        case CompOp::kGenNe: total += v.size() - (hi - lo); break;
-        case CompOp::kGenLt: total += lo - v.begin(); break;
-        case CompOp::kGenLe: total += hi - v.begin(); break;
-        case CompOp::kGenGt: total += v.end() - hi; break;
-        case CompOp::kGenGe: total += v.end() - lo; break;
-        default: break;
-      }
-    }
-  }
+  bool provable = ForEachPredicateMatch(
+      idx, frontier, pred, [&](auto, const MatchRanges& m) {
+        total += (m.end[0] - m.begin[0]) + (m.end[1] - m.begin[1]);
+      });
+  if (!provable) return std::nullopt;
   return total;
 }
 

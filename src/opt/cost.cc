@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -71,22 +72,24 @@ std::optional<double> HistogramSelectivity(const DocumentIndexes& idx,
   std::vector<double> vals;
   size_t population = 0;
   bool any_family = false;
+  std::string buf;  // strtod needs a terminated copy of each value.
   for (int32_t s : frontier) {
     int32_t t = idx.FindChild(s, tkind, tname);
     if (t < 0) continue;
-    const DocumentIndexes::ValuePostings* vp = idx.values(t);
-    if (vp == nullptr) continue;
+    std::optional<DocumentIndexes::ValuePostings> vp = idx.values(t);
+    if (!vp) continue;
     if (!vp->by_number.empty()) {
       any_family = true;
       population += vp->by_number.size();
-      for (const auto& [d, n] : vp->by_number) {
-        if (!std::isnan(d)) vals.push_back(d);
+      for (const DocumentIndexes::NumberEntry& e : vp->by_number) {
+        if (!std::isnan(e.value)) vals.push_back(e.value);
       }
     } else if (!vp->by_string.empty()) {
       any_family = true;
       population += vp->by_string.size();
-      for (const auto& [sv, n] : vp->by_string) {
-        const char* begin = sv.c_str();
+      for (const DocumentIndexes::StringEntry& e : vp->by_string) {
+        buf.assign(idx.StringValue(e.ref));
+        const char* begin = buf.c_str();
         char* end = nullptr;
         double d = std::strtod(begin, &end);
         if (end != begin && *end == '\0' && !std::isnan(d)) {

@@ -45,7 +45,8 @@ struct SnapshotInput {
 /// header so a snapshot of superseded XML is detected as stale, not served.
 uint64_t HashContent(std::string_view bytes);
 
-/// Serializes `input` into the snapshot byte format (in memory).
+/// Serializes `input` into the snapshot byte format (in memory): the same
+/// bytes WriteSnapshotFile writes, concatenated.
 Result<std::string> SerializeSnapshot(const SnapshotInput& input);
 
 /// Serializes and writes `path` crash-atomically (temp + fsync + rename +
@@ -55,8 +56,9 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input);
 Status WriteSnapshotFile(const std::string& path, const SnapshotInput& input);
 
 /// A validated, opened snapshot. `document` views the mapping zero-copy
-/// (node table + pooled strings) and keeps it alive; `indexes` is a
-/// materialized copy, present when the snapshot carried them.
+/// (node table + pooled strings) and keeps it alive; `indexes`, present
+/// when the snapshot carried them, views it too (postings, both value
+/// families, the side arena) through `document`.
 struct LoadedSnapshot {
   std::shared_ptr<const Document> document;
   std::shared_ptr<const DocumentIndexes> indexes;  // Null when absent.

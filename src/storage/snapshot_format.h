@@ -22,9 +22,11 @@ namespace storage {
 /// CRC-32C; the header checksums itself and the section table separately,
 /// so a torn or bit-rotted file is detected before any pointer into the
 /// mapping is handed out. POD sections (node records, pool entry tables,
-/// postings) are used zero-copy straight out of the mapping;
-/// variable-length sections (names, namespace declarations, value
-/// postings) are bounds-checked serialized streams materialized on load.
+/// postings, both value families, the value side arena) are used zero-copy
+/// straight out of the mapping; variable-length sections (names, namespace
+/// declarations) are bounds-checked serialized streams materialized on
+/// load. The writer likewise writes the POD sections from their own memory
+/// (node table, pool strings, index arrays) without staging copies.
 ///
 /// The loader treats every field as hostile: magic/version/endianness/
 /// record-layout checks, bounds validation of each offset and index
@@ -35,9 +37,10 @@ namespace storage {
 inline constexpr char kSnapshotMagic[8] = {'X', 'Q', 'P', 'S',
                                            'N', 'A', 'P', '1'};
 /// Any other version fails closed as kSnapshotCorrupt, so a file of an
-/// older format (version 1 also stored a TokenStream) is re-ingested and
-/// rewritten, never served.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// older format (version 1 also stored a TokenStream, version 2 stored the
+/// value index as copied strings) is re-ingested and rewritten, never
+/// served.
+inline constexpr uint32_t kSnapshotVersion = 3;
 /// Written as 0x01020304 by the native byte order; a swapped value on read
 /// means the file came from an other-endian machine and is rejected
 /// (snapshots are a same-architecture cache, not an interchange format).
@@ -48,8 +51,9 @@ enum SnapshotFlags : uint32_t {
 };
 
 /// Section identifiers. Required document sections are 1..6; index
-/// sections exist iff kFlagHasIndexes (kValues additionally requires
-/// value_kinds != 0).
+/// sections exist iff kFlagHasIndexes (the value sections 10..15
+/// additionally require value_kinds != 0). The index sections are
+/// DocumentIndexes::FlatArrays as they are in memory.
 enum class SectionId : uint32_t {
   kNodes = 1,           // NodeRecord[count], zero-copy
   kNames = 2,           // serialized QName table (count entries)
@@ -60,7 +64,12 @@ enum class SectionId : uint32_t {
   kSynopsis = 7,        // SynopsisRec[count] (children rebuilt from parents)
   kPostingsOffsets = 8, // uint64[count_synopsis + 1], CSR row starts
   kPostingsData = 9,    // NodeIndex[count], CSR payload
-  kValues = 10,         // serialized ValuePostings per synopsis node
+  kValueFlags = 10,     // uint32[count_synopsis], DocumentIndexes::ValueFlags
+  kStringOffsets = 11,  // uint64[count_synopsis + 1], CSR row starts
+  kStringEntries = 12,  // DocumentIndexes::StringEntry[count]
+  kNumberOffsets = 13,  // uint64[count_synopsis + 1], CSR row starts
+  kNumberEntries = 14,  // DocumentIndexes::NumberEntry[count]
+  kValueArena = 15,     // side arena: (uint32 length, bytes) records
 };
 
 struct SnapshotHeader {

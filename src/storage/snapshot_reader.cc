@@ -6,7 +6,9 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,7 +34,6 @@ class Cursor {
   Cursor(const uint8_t* p, size_t n) : p_(p), n_(n) {}
 
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
   bool Bytes(size_t len, std::string_view* out) {
     if (len > n_) return false;
     *out = std::string_view(reinterpret_cast<const char*>(p_), len);
@@ -54,6 +55,14 @@ class Cursor {
   const uint8_t* p_;
   size_t n_;
 };
+
+/// Validation reads every page (the section CRCs), so populate the mapping
+/// in one call instead of one page fault per page.
+#ifdef MAP_POPULATE
+constexpr int kMapFlags = MAP_PRIVATE | MAP_POPULATE;
+#else
+constexpr int kMapFlags = MAP_PRIVATE;
+#endif
 
 /// One mmap'd snapshot file; unmapped when the last document view dies.
 struct Mapping {
@@ -87,21 +96,27 @@ bool ValidNodeKind(uint8_t k) {
   return k <= static_cast<uint8_t>(NodeKind::kProcessingInstruction);
 }
 
-/// Mirror of document_indexes.cc NumericLess: value then node, NaNs last.
-bool NumericLess(double a, NodeIndex an, double b, NodeIndex bn) {
-  bool a_nan = std::isnan(a);
-  bool b_nan = std::isnan(b);
-  if (a_nan != b_nan) return b_nan;
-  if (!a_nan && a != b) return a < b;
-  return an < bn;
+/// CSR row starts: one per row plus the end, from 0 to `data_count`, never
+/// decreasing.
+bool ValidRowStarts(std::span<const uint64_t> starts, size_t rows,
+                    uint64_t data_count) {
+  if (starts.size() != rows + 1 || starts[0] != 0 ||
+      starts[rows] != data_count) {
+    return false;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    if (starts[r + 1] < starts[r]) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 /// The validating loader. Friend of Document, StringPool, and
 /// DocumentIndexes: after the hostile-input checks pass it installs views
-/// into the mapping (node table, pooled strings) and materializes the
-/// small variable-length structures, without re-running any builder logic.
+/// into the mapping (node table, pooled strings, index arrays) and
+/// materializes the small variable-length structures, without re-running
+/// any builder logic.
 class SnapshotLoader {
  public:
   static Result<LoadedSnapshot> Load(const uint8_t* base, size_t size,
@@ -115,9 +130,40 @@ class SnapshotLoader {
     bool present = false;
   };
 
+  /// `sec` as an array of T: its size must be exactly `count` elements.
+  template <typename T>
+  static bool AsArray(const Sec& sec, std::span<const T>* out) {
+    if (sec.count > sec.size / sizeof(T) || sec.size != sec.count * sizeof(T)) {
+      return false;
+    }
+    *out = std::span<const T>(reinterpret_cast<const T*>(sec.data), sec.count);
+    return true;
+  }
+
   static Result<std::vector<QName>> ParseNames(const Sec& sec);
+  /// What the node-table replay learns besides validity.
+  struct NodeFacts {
+    /// Nodes a path synopsis lists: the document node, elements and
+    /// attributes.
+    uint64_t listable = 0;
+    /// When requested (non-empty on entry), per element and attribute: the
+    /// StringEntry::ref its value must have — its pool id or kEmptyRef for
+    /// a one-piece value, kSideRefBit for a side-arena record — or
+    /// kUnindexable where Build indexes no value (element content, or a
+    /// pool id at or above kSideRefBit). The replay's twin of
+    /// DocumentIndexes::ShapeOf.
+    std::vector<uint32_t> value_ref;
+  };
+  static constexpr uint32_t kUnindexable = DocumentIndexes::kSideRefBit + 1;
+
   static Status ValidateNodes(const Sec& nodes, size_t names_count,
-                              size_t pool_count);
+                              size_t pool_count, NodeFacts* facts);
+  static Result<std::shared_ptr<const DocumentIndexes>> AdoptIndexes(
+      const Sec* secs, std::shared_ptr<const Document> doc,
+      uint32_t value_kinds, const NodeFacts& facts);
+  static Status AdoptValues(const Sec* secs, DocumentIndexes* idx,
+                            const std::vector<int32_t>& syn_of,
+                            const std::vector<uint32_t>& value_ref);
 };
 
 Result<std::vector<QName>> SnapshotLoader::ParseNames(const Sec& sec) {
@@ -141,7 +187,7 @@ Result<std::vector<QName>> SnapshotLoader::ParseNames(const Sec& sec) {
 }
 
 Status SnapshotLoader::ValidateNodes(const Sec& nodes, size_t names_count,
-                                     size_t pool_count) {
+                                     size_t pool_count, NodeFacts* facts) {
   const auto* recs = reinterpret_cast<const NodeRecord*>(nodes.data);
   const size_t n = nodes.count;
 
@@ -154,20 +200,66 @@ Status SnapshotLoader::ValidateNodes(const Sec& nodes, size_t names_count,
   }
 
   // Preorder replay. The region-encoding stack recovers each node's
-  // expected parent and depth from the `end` labels alone; shadow sibling
-  // chains are rebuilt exactly the way DocumentBuilder links them. Any
-  // stored link or label that disagrees with the replay — overlapping
-  // regions, a forward parent pointer, an attribute after child content, a
-  // cycle spliced into a sibling chain — is rejected before the table is
-  // ever navigated, so traversal can neither crash nor hang.
-  std::vector<NodeIndex> first_attr(n, kNullNode), first_child(n, kNullNode),
-      next(n, kNullNode), last_attr(n, kNullNode), last_child(n, kNullNode);
-  std::vector<NodeIndex> stack;
-  stack.push_back(0);
+  // expected parent and depth from the `end` labels alone; each stored
+  // link is checked the moment the replay fixes its value — a first_attr /
+  // first_child when the parent's first attribute / child arrives (or is
+  // null when the parent's region closes without one), a next_sibling when
+  // the next sibling arrives (or is null when the parent closes). Any link
+  // or label that disagrees with the replay — overlapping regions, a
+  // forward parent pointer, an attribute after child content, a cycle
+  // spliced into a sibling chain — is rejected before the table is ever
+  // navigated, so traversal can neither crash nor hang.
+  struct Open {
+    NodeIndex node;
+    NodeIndex last_attr = kNullNode;
+    NodeIndex last_child = kNullNode;
+    uint32_t first_text = kNoValue;  // Value id of the first text child.
+    uint32_t texts = 0;              // Text children.
+    bool element_child = false;
+  };
+  const bool want_refs = !facts->value_ref.empty();
+  auto one_piece = [](uint32_t id) {
+    return id < DocumentIndexes::kSideRefBit || id == DocumentIndexes::kEmptyRef
+               ? id
+               : kUnindexable;
+  };
+  // The region of `f.node` has closed: its chains must end where the
+  // replay ended them, and its typed value is known.
+  auto close = [&](const Open& f) {
+    const NodeRecord& r = recs[f.node];
+    if (want_refs) {
+      facts->value_ref[f.node] = f.element_child ? kUnindexable
+                                 : f.texts > 1
+                                     ? DocumentIndexes::kSideRefBit
+                                     : one_piece(f.first_text);
+    }
+    return (f.last_attr == kNullNode
+                ? r.first_attr == kNullNode
+                : recs[f.last_attr].next_sibling == kNullNode) &&
+           (f.last_child == kNullNode
+                ? r.first_child == kNullNode
+                : recs[f.last_child].next_sibling == kNullNode);
+  };
+  auto link = [recs](NodeIndex parent_first, NodeIndex* last, NodeIndex i) {
+    const bool ok = *last == kNullNode ? parent_first == i
+                                       : recs[*last].next_sibling == i;
+    *last = i;
+    return ok;
+  };
+  auto broken = [] {
+    return Corrupt("sibling/child links disagree with preorder replay");
+  };
+  std::vector<Open> stack;
+  stack.push_back(Open{0});
+  facts->listable = 1;
   for (size_t i = 1; i < n; ++i) {
-    while (!stack.empty() && recs[stack.back()].end < i) stack.pop_back();
+    while (!stack.empty() && recs[stack.back().node].end < i) {
+      if (!close(stack.back())) return broken();
+      stack.pop_back();
+    }
     if (stack.empty()) return Corrupt("node outside every open region");
-    const NodeIndex p = stack.back();
+    Open& top = stack.back();
+    const NodeIndex p = top.node;
     const NodeRecord& r = recs[i];
     if (!ValidNodeKind(static_cast<uint8_t>(r.kind))) {
       return Corrupt("invalid node kind");
@@ -189,41 +281,35 @@ Status SnapshotLoader::ValidateNodes(const Sec& nodes, size_t names_count,
     if (r.kind == NodeKind::kDocument) {
       return Corrupt("nested document node");
     }
+    const auto self = static_cast<NodeIndex>(i);
+    facts->listable +=
+        r.kind == NodeKind::kElement || r.kind == NodeKind::kAttribute;
     if (r.kind == NodeKind::kAttribute) {
-      if (last_child[p] != kNullNode) {
+      if (top.last_child != kNullNode) {
         return Corrupt("attribute after child content");
       }
       if (r.end != i || r.first_attr != kNullNode ||
           r.first_child != kNullNode) {
         return Corrupt("attribute with a subtree");
       }
-      if (last_attr[p] == kNullNode) {
-        first_attr[p] = static_cast<NodeIndex>(i);
-      } else {
-        next[last_attr[p]] = static_cast<NodeIndex>(i);
-      }
-      last_attr[p] = static_cast<NodeIndex>(i);
+      if (!link(recs[p].first_attr, &top.last_attr, self)) return broken();
+      if (want_refs) facts->value_ref[i] = one_piece(r.value_id);
       continue;
     }
-    if (last_child[p] == kNullNode) {
-      first_child[p] = static_cast<NodeIndex>(i);
-    } else {
-      next[last_child[p]] = static_cast<NodeIndex>(i);
+    if (!link(recs[p].first_child, &top.last_child, self)) return broken();
+    if (r.kind == NodeKind::kText && top.texts++ == 0) {
+      top.first_text = r.value_id;
     }
-    last_child[p] = static_cast<NodeIndex>(i);
+    top.element_child |= r.kind == NodeKind::kElement;
     if (r.kind == NodeKind::kElement) {
-      stack.push_back(static_cast<NodeIndex>(i));
+      stack.push_back(Open{self});
     } else if (r.end != i || r.first_attr != kNullNode ||
                r.first_child != kNullNode) {
       return Corrupt("leaf node with a subtree");
     }
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (recs[i].first_attr != first_attr[i] ||
-        recs[i].first_child != first_child[i] ||
-        (i > 0 && recs[i].next_sibling != next[i])) {
-      return Corrupt("sibling/child links disagree with preorder replay");
-    }
+  for (; !stack.empty(); stack.pop_back()) {
+    if (!close(stack.back())) return broken();
   }
   return Status::OK();
 }
@@ -278,7 +364,12 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
     expected.insert(expected.end(),
                     {SectionId::kSynopsis, SectionId::kPostingsOffsets,
                      SectionId::kPostingsData});
-    if (header.value_kinds != 0) expected.push_back(SectionId::kValues);
+    if (header.value_kinds != 0) {
+      expected.insert(expected.end(),
+                      {SectionId::kValueFlags, SectionId::kStringOffsets,
+                       SectionId::kStringEntries, SectionId::kNumberOffsets,
+                       SectionId::kNumberEntries, SectionId::kValueArena});
+    }
   }
   if (header.section_count != expected.size()) {
     return Corrupt("unexpected section count");
@@ -294,7 +385,8 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
   XQP_RETURN_NOT_OK(
       CheckCrc("section table", header.table_crc, table, table_bytes));
 
-  constexpr uint32_t kMaxSectionId = static_cast<uint32_t>(SectionId::kValues);
+  constexpr uint32_t kMaxSectionId =
+      static_cast<uint32_t>(SectionId::kValueArena);
   Sec secs[kMaxSectionId + 1];
   for (uint32_t i = 0; i < header.section_count; ++i) {
     SectionEntry e;
@@ -355,7 +447,12 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
     }
   }
 
-  XQP_RETURN_NOT_OK(ValidateNodes(nodes, names.size(), pool_views.size()));
+  NodeFacts facts;
+  if (has_indexes && header.value_kinds != 0) {
+    facts.value_ref.resize(node_count);
+  }
+  XQP_RETURN_NOT_OK(
+      ValidateNodes(nodes, names.size(), pool_views.size(), &facts));
 
   std::unordered_map<NodeIndex, std::vector<Document::NsDecl>> ns_decls;
   {
@@ -415,120 +512,217 @@ Result<LoadedSnapshot> SnapshotLoader::Load(
 
   // --- Path/value indexes (optional). -----------------------------------
   if (has_indexes) {
-    const Sec& syn = sec(SectionId::kSynopsis);
-    if (syn.count == 0 || syn.count > INT32_MAX ||
-        syn.size != syn.count * sizeof(SynopsisRec)) {
-      return Corrupt("synopsis size mismatch");
-    }
-    const auto* srecs = reinterpret_cast<const SynopsisRec*>(syn.data);
-    if (srecs[0].parent != -1 || srecs[0].name_id != kNoName ||
-        srecs[0].kind != static_cast<uint32_t>(NodeKind::kDocument)) {
-      return Corrupt("synopsis node 0 is not the document root");
-    }
-    auto idx = std::shared_ptr<DocumentIndexes>(new DocumentIndexes());
-    idx->doc_ = doc;
-    idx->value_kinds_ = header.value_kinds;
-    idx->nodes_.resize(syn.count);
-    for (uint64_t s = 1; s < syn.count; ++s) {
-      const SynopsisRec& r = srecs[s];
-      const bool is_elem = r.kind == static_cast<uint32_t>(NodeKind::kElement);
-      const bool is_attr =
-          r.kind == static_cast<uint32_t>(NodeKind::kAttribute);
-      if ((!is_elem && !is_attr) || r.parent < 0 ||
-          static_cast<uint64_t>(r.parent) >= s ||
-          r.name_id >= doc->names_.size()) {
-        return Corrupt("invalid synopsis node");
-      }
-      DocumentIndexes::SynopsisNode& sn = idx->nodes_[s];
-      sn.name_id = r.name_id;
-      sn.kind = static_cast<NodeKind>(r.kind);
-      sn.parent = r.parent;
-      // Synopsis ids are assigned in first-appearance order, so id order
-      // reproduces every children list exactly as Build() made it.
-      idx->nodes_[r.parent].children.push_back(static_cast<int32_t>(s));
-    }
-
-    const Sec& offs = sec(SectionId::kPostingsOffsets);
-    const Sec& data = sec(SectionId::kPostingsData);
-    if (offs.count != syn.count + 1 ||
-        offs.size != offs.count * sizeof(uint64_t) ||
-        data.size != data.count * sizeof(NodeIndex) ||
-        data.count > node_count) {
-      return Corrupt("postings size mismatch");
-    }
-    const auto* row = reinterpret_cast<const uint64_t*>(offs.data);
-    const auto* post = reinterpret_cast<const NodeIndex*>(data.data);
-    if (row[0] != 0 || row[syn.count] != data.count) {
-      return Corrupt("postings offsets do not span the data");
-    }
-    idx->postings_.resize(syn.count);
-    for (uint64_t s = 0; s < syn.count; ++s) {
-      if (row[s + 1] < row[s]) return Corrupt("postings offsets decrease");
-      for (uint64_t j = row[s]; j < row[s + 1]; ++j) {
-        if (post[j] >= node_count || (j > row[s] && post[j] <= post[j - 1])) {
-          return Corrupt("posting list not in document order");
-        }
-      }
-      idx->postings_[s].assign(post + row[s], post + row[s + 1]);
-    }
-
-    if (header.value_kinds != 0) {
-      const Sec& vals = sec(SectionId::kValues);
-      if (vals.count != syn.count) {
-        return Corrupt("value-postings count mismatch");
-      }
-      idx->values_.resize(syn.count);
-      Cursor cur(vals.data, vals.size);
-      for (uint64_t s = 0; s < syn.count; ++s) {
-        uint32_t vflags, n_str, n_num;
-        if (!cur.U32(&vflags) || !cur.U32(&n_str) || !cur.U32(&n_num) ||
-            (vflags & ~3u) != 0) {
-          return Corrupt("truncated value-postings entry");
-        }
-        DocumentIndexes::ValuePostings& vp = idx->values_[s];
-        vp.indexable = (vflags & 1u) != 0;
-        vp.all_numeric = (vflags & 2u) != 0;
-        vp.by_string.reserve(std::min<uint64_t>(n_str, node_count));
-        for (uint32_t i = 0; i < n_str; ++i) {
-          uint32_t len, node;
-          std::string_view str;
-          if (!cur.U32(&len) || !cur.U32(&node) || !cur.Bytes(len, &str) ||
-              node >= node_count) {
-            return Corrupt("truncated string value entry");
-          }
-          if (!vp.by_string.empty()) {
-            const auto& prev = vp.by_string.back();
-            if (str < prev.first || (str == prev.first && node <= prev.second)) {
-              return Corrupt("string value index not sorted");
-            }
-          }
-          vp.by_string.emplace_back(std::string(str), node);
-        }
-        for (uint32_t i = 0; i < n_num; ++i) {
-          uint64_t bits;
-          uint32_t node;
-          if (!cur.U64(&bits) || !cur.U32(&node) || node >= node_count) {
-            return Corrupt("truncated numeric value entry");
-          }
-          double value;
-          std::memcpy(&value, &bits, sizeof(value));
-          if (!vp.by_number.empty()) {
-            const auto& prev = vp.by_number.back();
-            if (NumericLess(value, node, prev.first, prev.second)) {
-              return Corrupt("numeric value index not sorted");
-            }
-          }
-          vp.by_number.emplace_back(value, node);
-        }
-      }
-      if (!cur.done()) {
-        return Corrupt("trailing bytes after value sections");
-      }
-    }
-    out.indexes = idx;
+    XQP_ASSIGN_OR_RETURN(
+        out.indexes, AdoptIndexes(secs, doc, header.value_kinds, facts));
   }
 
   return out;
+}
+
+Result<std::shared_ptr<const DocumentIndexes>> SnapshotLoader::AdoptIndexes(
+    const Sec* secs, std::shared_ptr<const Document> doc,
+    uint32_t value_kinds, const NodeFacts& facts) {
+  auto sec = [secs](SectionId id) -> const Sec& {
+    return secs[static_cast<uint32_t>(id)];
+  };
+  const size_t node_count = doc->NumNodes();
+
+  // --- Synopsis. ---------------------------------------------------------
+  std::span<const SynopsisRec> srecs;
+  if (!AsArray(sec(SectionId::kSynopsis), &srecs) || srecs.empty() ||
+      srecs.size() > INT32_MAX) {
+    return Corrupt("synopsis size mismatch");
+  }
+  if (srecs[0].parent != -1 || srecs[0].name_id != kNoName ||
+      srecs[0].kind != static_cast<uint32_t>(NodeKind::kDocument)) {
+    return Corrupt("synopsis node 0 is not the document root");
+  }
+  const size_t n_syn = srecs.size();
+  auto idx = std::shared_ptr<DocumentIndexes>(new DocumentIndexes());
+  idx->doc_ = doc;
+  idx->value_kinds_ = value_kinds;
+  idx->nodes_.resize(n_syn);
+  std::unordered_set<uint64_t> edges;
+  for (size_t s = 1; s < n_syn; ++s) {
+    const SynopsisRec& r = srecs[s];
+    const bool is_elem = r.kind == static_cast<uint32_t>(NodeKind::kElement);
+    const bool is_attr =
+        r.kind == static_cast<uint32_t>(NodeKind::kAttribute);
+    if ((!is_elem && !is_attr) || r.parent < 0 ||
+        static_cast<uint64_t>(r.parent) >= s ||
+        r.name_id >= doc->NumNames()) {
+      return Corrupt("invalid synopsis node");
+    }
+    DocumentIndexes::SynopsisNode& sn = idx->nodes_[s];
+    sn.name_id = r.name_id;
+    sn.kind = static_cast<NodeKind>(r.kind);
+    sn.parent = r.parent;
+    // One synopsis node per (parent, kind, name): a duplicate could hide
+    // postings from FindChild.
+    if (!edges.insert((uint64_t{r.name_id} << 32) | (uint64_t{is_attr} << 31) |
+                      static_cast<uint32_t>(r.parent))
+             .second) {
+      return Corrupt("duplicate synopsis path");
+    }
+    // Synopsis ids are assigned in first-appearance order, so id order
+    // reproduces every children list exactly as Build() made it.
+    idx->nodes_[r.parent].children.push_back(static_cast<int32_t>(s));
+  }
+
+  // --- Postings: every element and attribute on exactly its own path. ----
+  DocumentIndexes::FlatArrays& flat = idx->flat_;
+  if (!AsArray(sec(SectionId::kPostingsOffsets), &flat.posting_offsets) ||
+      !AsArray(sec(SectionId::kPostingsData), &flat.posting_data) ||
+      !ValidRowStarts(flat.posting_offsets, n_syn, flat.posting_data.size())) {
+    return Corrupt("postings size mismatch");
+  }
+  const std::span<const NodeIndex> root_row = idx->postings(0);
+  if (root_row.size() != 1 || root_row[0] != 0) {
+    return Corrupt("root synopsis path does not list the document node");
+  }
+  // syn_of[n]: the path listing node n. A posting must carry its path's
+  // kind and name, and its parent must be listed on the parent path (rows
+  // are checked in id order, and a parent path has the smaller id).
+  std::vector<int32_t> syn_of(node_count, -1);
+  syn_of[0] = 0;
+  for (size_t s = 1; s < n_syn; ++s) {
+    const std::span<const NodeIndex> row =
+        idx->postings(static_cast<int32_t>(s));
+    const DocumentIndexes::SynopsisNode& sn = idx->nodes_[s];
+    for (size_t j = 0; j < row.size(); ++j) {
+      const NodeIndex n = row[j];
+      if (n >= node_count || (j > 0 && n <= row[j - 1])) {
+        return Corrupt("posting list not in document order");
+      }
+      const NodeRecord& r = doc->node(n);
+      if (syn_of[n] != -1 || r.kind != sn.kind || r.name_id != sn.name_id ||
+          syn_of[r.parent] != sn.parent) {
+        return Corrupt("posting does not match its synopsis path");
+      }
+      syn_of[n] = static_cast<int32_t>(s);
+    }
+  }
+  // Disjoint rows of matching kinds: they cover every element and
+  // attribute exactly when the counts agree.
+  if (facts.listable != flat.posting_data.size()) {
+    return Corrupt("postings do not cover every element and attribute");
+  }
+
+  if (value_kinds != 0) {
+    XQP_RETURN_NOT_OK(AdoptValues(secs, idx.get(), syn_of, facts.value_ref));
+  }
+  return std::shared_ptr<const DocumentIndexes>(idx);
+}
+
+Status SnapshotLoader::AdoptValues(const Sec* secs, DocumentIndexes* idx,
+                                   const std::vector<int32_t>& syn_of,
+                                   const std::vector<uint32_t>& value_ref) {
+  using DI = DocumentIndexes;
+  auto sec = [secs](SectionId id) -> const Sec& {
+    return secs[static_cast<uint32_t>(id)];
+  };
+  const Document& doc = *idx->doc_;
+  const size_t n_syn = idx->nodes_.size();
+  DI::FlatArrays& flat = idx->flat_;
+  if (!AsArray(sec(SectionId::kValueFlags), &flat.value_flags) ||
+      !AsArray(sec(SectionId::kStringOffsets), &flat.string_offsets) ||
+      !AsArray(sec(SectionId::kStringEntries), &flat.string_entries) ||
+      !AsArray(sec(SectionId::kNumberOffsets), &flat.number_offsets) ||
+      !AsArray(sec(SectionId::kNumberEntries), &flat.number_entries) ||
+      !AsArray(sec(SectionId::kValueArena), &flat.side_arena) ||
+      flat.value_flags.size() != n_syn ||
+      !ValidRowStarts(flat.string_offsets, n_syn, flat.string_entries.size()) ||
+      !ValidRowStarts(flat.number_offsets, n_syn,
+                      flat.number_entries.size())) {
+    return Corrupt("value-postings size mismatch");
+  }
+
+  auto on_path = [&syn_of](NodeIndex n, int32_t path) {
+    return n < syn_of.size() && syn_of[n] == path;
+  };
+  // The typed-value text of a node on an indexable path.
+  std::string scratch;
+  auto text_of = [&](NodeIndex n) {
+    if (value_ref[n] != DI::kSideRefBit) return idx->StringValue(value_ref[n]);
+    uint32_t id;
+    const DI::ValueShape shape = DI::ShapeOf(doc, n, &id);
+    return DI::TextOf(doc, n, shape, id, &scratch);
+  };
+  // Whether `ref` names node n's own value: its pool id (or the empty ref)
+  // where the value is one piece, else a side-arena record of its text.
+  auto names_own_value = [&](NodeIndex n, uint32_t ref) {
+    const uint32_t want = value_ref[n];
+    if (want == kUnindexable) return false;
+    if (want != DI::kSideRefBit) return ref == want;
+    const uint64_t off = ref & ~DI::kSideRefBit;
+    uint32_t len;
+    if (ref < DI::kSideRefBit || ref == DI::kEmptyRef ||
+        flat.side_arena.size() < sizeof(len) ||
+        off > flat.side_arena.size() - sizeof(len)) {
+      return false;
+    }
+    std::memcpy(&len, flat.side_arena.data() + off, sizeof(len));
+    return len <= flat.side_arena.size() - off - sizeof(len) &&
+           idx->StringValue(ref) == text_of(n);
+  };
+
+  const bool strings_on = (idx->value_kinds_ & kIndexValueString) != 0;
+  const bool numbers_on = (idx->value_kinds_ & kIndexValueNumeric) != 0;
+  for (size_t s = 0; s < n_syn; ++s) {
+    const auto path = static_cast<int32_t>(s);
+    const DI::ValuePostings vp = *idx->values(path);
+    const uint32_t flags = flat.value_flags[s];
+    const std::span<const NodeIndex> row = idx->postings(path);
+    // Each family holds every node on the path or none, as Build() leaves
+    // it.
+    if ((flags & ~(DI::kIndexable | DI::kAllNumeric)) != 0 ||
+        (s == 0 && flags != 0) || (vp.all_numeric && !vp.indexable) ||
+        (vp.all_numeric && !numbers_on) ||
+        vp.by_string.size() != (vp.indexable && strings_on ? row.size() : 0) ||
+        vp.by_number.size() != (vp.all_numeric ? row.size() : 0)) {
+      return Corrupt("value family shape disagrees with its path");
+    }
+    for (size_t i = 0; i < vp.by_string.size(); ++i) {
+      const DI::StringEntry& e = vp.by_string[i];
+      if (!on_path(e.node, path)) {
+        return Corrupt("value entry's node is not on its path");
+      }
+      if (!names_own_value(e.node, e.ref)) {
+        return Corrupt("value reference is not the node's own value");
+      }
+      if (i > 0) {
+        const DI::StringEntry& prev = vp.by_string[i - 1];
+        const int cmp = prev.ref == e.ref ? 0
+                                          : idx->StringValue(prev.ref).compare(
+                                                idx->StringValue(e.ref));
+        if (cmp > 0 || (cmp == 0 && prev.node >= e.node)) {
+          return Corrupt("string value index not sorted");
+        }
+      }
+    }
+    for (size_t i = 0; i < vp.by_number.size(); ++i) {
+      const DI::NumberEntry& e = vp.by_number[i];
+      if (!on_path(e.node, path) || e.reserved != 0) {
+        return Corrupt("value entry's node is not on its path");
+      }
+      // The stored number must be the runtime's cast of the node's own
+      // value, bit for bit.
+      double cast;
+      if (value_ref[e.node] == kUnindexable ||
+          !TryParseXsDouble(text_of(e.node), &cast) ||
+          std::memcmp(&cast, &e.value, sizeof(cast)) != 0) {
+        return Corrupt("numeric value is not the node's own value");
+      }
+      if (i > 0) {
+        const DI::NumberEntry& prev = vp.by_number[i - 1];
+        if (!DI::NumberBefore(prev.value, e.value) &&
+            (DI::NumberBefore(e.value, prev.value) || prev.node >= e.node)) {
+          return Corrupt("numeric value index not sorted");
+        }
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Result<LoadedSnapshot> OpenSnapshot(const std::string& path) {
@@ -556,7 +750,7 @@ Result<LoadedSnapshot> OpenSnapshot(const std::string& path) {
     }
   }
   const size_t size = static_cast<size_t>(st.st_size);
-  void* m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  void* m = ::mmap(nullptr, size, PROT_READ, kMapFlags, fd, 0);
   ::close(fd);
   if (m == MAP_FAILED) {
     return Status::IoError("mmap " + path + ": " +

@@ -1,9 +1,16 @@
 #include <fcntl.h>
+#include <limits.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "base/fault.h"
 #include "storage/crc32c.h"
@@ -20,14 +27,12 @@ namespace {
 class ByteSink {
  public:
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
-  void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutBytes(std::string_view s) { PutRaw(s.data(), s.size()); }
   void PutRaw(const void* p, size_t n) {
     buf_.append(static_cast<const char*>(p), n);
   }
 
   std::string Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
 
  private:
   std::string buf_;
@@ -42,55 +47,155 @@ void PutQName(ByteSink* out, const QName& q) {
   out->PutBytes(q.local);
 }
 
-struct Section {
-  SectionId id;
-  uint64_t count;
-  std::string payload;
+/// One contiguous run of payload bytes, written from where it lives.
+struct Piece {
+  const void* data;
+  size_t size;
 };
 
-/// Serializes one string pool as (index, arena) section pair. Ids are
+/// A whole snapshot file as a list of pieces — header, section table,
+/// alignment padding and section payloads — plus the storage of the few
+/// sections built here. The node table, pool strings and index arrays are
+/// written and checksummed from their own memory; nothing is staged in one
+/// buffer. Pieces point into the layout itself, so it never moves.
+class Layout {
+ public:
+  Layout() = default;
+  Layout(const Layout&) = delete;
+  Layout& operator=(const Layout&) = delete;
+
+  /// A section whose payload lives elsewhere and outlives the layout.
+  void AddPieces(SectionId id, uint64_t count, std::vector<Piece> pieces) {
+    sections_.push_back(Section{id, count, std::move(pieces)});
+  }
+  void AddView(SectionId id, uint64_t count, const void* data, size_t size) {
+    AddPieces(id, count, {Piece{data, size}});
+  }
+  template <typename T>
+  void AddSpan(SectionId id, std::span<const T> span) {
+    AddView(id, span.size(), span.data(), span.size_bytes());
+  }
+  /// A section built by the writer; the layout keeps its bytes.
+  void AddOwned(SectionId id, uint64_t count, std::string bytes) {
+    owned_.push_back(std::make_unique<std::string>(std::move(bytes)));
+    AddView(id, count, owned_.back()->data(), owned_.back()->size());
+  }
+
+  /// Places every section at an 8-byte-aligned offset, checksums each
+  /// payload, and seals the table and the header.
+  void Finish(SnapshotHeader header) {
+    const size_t table_bytes = sections_.size() * sizeof(SectionEntry);
+    uint64_t cursor = sizeof(SnapshotHeader) + table_bytes;
+    table_.clear();
+    for (const Section& s : sections_) {
+      cursor = (cursor + 7) & ~uint64_t{7};
+      uint32_t crc = 0;
+      uint64_t size = 0;
+      for (const Piece& p : s.pieces) {
+        crc = Crc32cExtend(crc, p.data, p.size);
+        size += p.size;
+      }
+      table_.push_back(SectionEntry{static_cast<uint32_t>(s.id), crc, cursor,
+                                    size, s.count});
+      cursor += size;
+    }
+    header.section_count = static_cast<uint32_t>(sections_.size());
+    header.file_size = cursor;
+    header.table_crc = Crc32c(table_.data(), table_bytes);
+    header.header_crc = 0;
+    header.header_crc = Crc32c(&header, sizeof(header));
+    header_ = header;
+
+    static constexpr char kZeros[8] = {};
+    file_.clear();
+    file_.push_back(Piece{&header_, sizeof(header_)});
+    file_.push_back(Piece{table_.data(), table_bytes});
+    uint64_t at = sizeof(SnapshotHeader) + table_bytes;
+    for (size_t i = 0; i < sections_.size(); ++i) {
+      if (table_[i].offset > at) {
+        file_.push_back(Piece{kZeros, table_[i].offset - at});
+      }
+      for (const Piece& p : sections_[i].pieces) file_.push_back(p);
+      at = table_[i].offset + table_[i].size;
+    }
+    size_ = cursor;
+  }
+
+  const std::vector<Piece>& file() const { return file_; }
+  uint64_t size() const { return size_; }
+
+ private:
+  struct Section {
+    SectionId id;
+    uint64_t count;
+    std::vector<Piece> pieces;
+  };
+
+  std::vector<Section> sections_;
+  std::vector<std::unique_ptr<std::string>> owned_;
+  SnapshotHeader header_{};
+  std::vector<SectionEntry> table_;
+  std::vector<Piece> file_;
+  uint64_t size_ = 0;
+};
+
+/// Adds one string pool as (index, arena) section pair. Ids are
 /// positional, so the roundtrip preserves every StringPool::Id bit-exactly.
-void AppendPoolSections(const StringPool& pool, SectionId index_id,
-                        SectionId arena_id, std::vector<Section>* sections) {
+/// The arena is the pool's strings in id order; strings adjacent in memory
+/// (one arena chunk, or a mapped snapshot's arena) share one piece.
+void AddPoolSections(const StringPool& pool, Layout* out) {
   ByteSink index;
-  ByteSink arena;
+  std::vector<Piece> arena;
+  uint64_t offset = 0;
   for (StringPool::Id id = 0; id < pool.size(); ++id) {
     std::string_view s = pool.Get(id);
-    PoolEntry e{arena.size(), static_cast<uint32_t>(s.size()), 0};
+    PoolEntry e{offset, static_cast<uint32_t>(s.size()), 0};
     index.PutRaw(&e, sizeof(e));
-    arena.PutBytes(s);
+    offset += s.size();
+    if (s.empty()) continue;
+    if (!arena.empty() && static_cast<const char*>(arena.back().data) +
+                                  arena.back().size ==
+                              s.data()) {
+      arena.back().size += s.size();
+    } else {
+      arena.push_back(Piece{s.data(), s.size()});
+    }
   }
-  sections->push_back(Section{index_id, pool.size(), index.Take()});
-  sections->push_back(Section{arena_id, arena.size(), arena.Take()});
+  out->AddOwned(SectionId::kPoolIndex, pool.size(), index.Take());
+  out->AddPieces(SectionId::kPoolArena, offset, std::move(arena));
 }
 
-Status WriteAll(int fd, const std::string& bytes, const std::string& name) {
-  size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+/// Writes every piece in order, IOV_MAX at a time, resuming after short
+/// writes.
+Status WriteAll(int fd, const std::vector<Piece>& pieces,
+                const std::string& name) {
+  std::vector<iovec> iov;
+  iov.reserve(pieces.size());
+  for (const Piece& p : pieces) {
+    if (p.size > 0) iov.push_back(iovec{const_cast<void*>(p.data), p.size});
+  }
+  size_t i = 0;
+  while (i < iov.size()) {
+    const int batch = static_cast<int>(std::min<size_t>(iov.size() - i, IOV_MAX));
+    ssize_t n = ::writev(fd, &iov[i], batch);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IoError("write " + name + ": " +
                              std::string(std::strerror(errno)));
     }
-    done += static_cast<size_t>(n);
+    auto left = static_cast<size_t>(n);
+    while (i < iov.size() && left >= iov[i].iov_len) left -= iov[i++].iov_len;
+    if (left > 0) {
+      iov[i].iov_base = static_cast<char*>(iov[i].iov_base) + left;
+      iov[i].iov_len -= left;
+    }
   }
   return Status::OK();
 }
 
-}  // namespace
-
-uint64_t HashContent(std::string_view bytes) {
-  // FNV-1a, 64-bit.
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
+/// Lays `input` out as a snapshot file: the one section list behind both
+/// SerializeSnapshot and WriteSnapshotFile.
+Status LayOut(const SnapshotInput& input, Layout* out) {
   if (input.doc == nullptr) {
     return Status::InvalidArgument("SerializeSnapshot: null document");
   }
@@ -99,25 +204,17 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
     return Status::InvalidArgument("SerializeSnapshot: empty document");
   }
 
-  std::vector<Section> sections;
-
   // --- Document sections (always present). ------------------------------
-  {
-    std::string nodes(reinterpret_cast<const char*>(&doc.node(0)),
-                      doc.NumNodes() * sizeof(NodeRecord));
-    sections.push_back(Section{SectionId::kNodes, doc.NumNodes(),
-                               std::move(nodes)});
-  }
+  out->AddView(SectionId::kNodes, doc.NumNodes(), &doc.node(0),
+               doc.NumNodes() * sizeof(NodeRecord));
   {
     ByteSink names;
     for (uint32_t id = 0; id < doc.NumNames(); ++id) {
       PutQName(&names, doc.name_at(id));
     }
-    sections.push_back(Section{SectionId::kNames, doc.NumNames(),
-                               names.Take()});
+    out->AddOwned(SectionId::kNames, doc.NumNames(), names.Take());
   }
-  AppendPoolSections(doc.pool(), SectionId::kPoolIndex, SectionId::kPoolArena,
-                     &sections);
+  AddPoolSections(doc.pool(), out);
   {
     // Namespace declarations in node order (deterministic bytes; the live
     // map is unordered).
@@ -136,12 +233,12 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
       }
       ++entries;
     }
-    sections.push_back(Section{SectionId::kNsDecls, entries, ns.Take()});
+    out->AddOwned(SectionId::kNsDecls, entries, ns.Take());
   }
-  sections.push_back(Section{SectionId::kBaseUri, doc.base_uri().size(),
-                             std::string(doc.base_uri())});
+  out->AddView(SectionId::kBaseUri, doc.base_uri().size(),
+               doc.base_uri().data(), doc.base_uri().size());
 
-  // --- Index sections (optional). ---------------------------------------
+  // --- Index sections (optional): the index's own flat arrays. ----------
   uint32_t flags = 0;
   uint32_t value_kinds = 0;
   if (input.indexes != nullptr) {
@@ -156,62 +253,19 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
       SynopsisRec rec{sn.name_id, sn.parent, static_cast<uint32_t>(sn.kind)};
       syn.PutRaw(&rec, sizeof(rec));
     }
-    sections.push_back(Section{SectionId::kSynopsis, n_syn, syn.Take()});
+    out->AddOwned(SectionId::kSynopsis, n_syn, syn.Take());
 
-    // Postings as CSR: row starts, then the concatenated lists.
-    ByteSink offsets;
-    ByteSink data;
-    uint64_t total = 0;
-    for (size_t s = 0; s < n_syn; ++s) {
-      offsets.PutU64(total);
-      const std::vector<NodeIndex>& row =
-          idx.postings(static_cast<int32_t>(s));
-      data.PutRaw(row.data(), row.size() * sizeof(NodeIndex));
-      total += row.size();
-    }
-    offsets.PutU64(total);
-    sections.push_back(Section{SectionId::kPostingsOffsets, n_syn + 1,
-                               offsets.Take()});
-    sections.push_back(Section{SectionId::kPostingsData, total, data.Take()});
-
+    const DocumentIndexes::FlatArrays& flat = idx.flat();
+    out->AddSpan(SectionId::kPostingsOffsets, flat.posting_offsets);
+    out->AddSpan(SectionId::kPostingsData, flat.posting_data);
     if (value_kinds != 0) {
-      ByteSink values;
-      for (size_t s = 0; s < n_syn; ++s) {
-        const DocumentIndexes::ValuePostings* vp =
-            idx.values(static_cast<int32_t>(s));
-        uint32_t vflags = (vp->indexable ? 1u : 0u) |
-                          (vp->all_numeric ? 2u : 0u);
-        values.PutU32(vflags);
-        values.PutU32(static_cast<uint32_t>(vp->by_string.size()));
-        values.PutU32(static_cast<uint32_t>(vp->by_number.size()));
-        for (const auto& [str, node] : vp->by_string) {
-          values.PutU32(static_cast<uint32_t>(str.size()));
-          values.PutU32(node);
-          values.PutBytes(str);
-        }
-        for (const auto& [num, node] : vp->by_number) {
-          uint64_t bits;
-          static_assert(sizeof(bits) == sizeof(num));
-          std::memcpy(&bits, &num, sizeof(bits));
-          values.PutU64(bits);
-          values.PutU32(node);
-        }
-      }
-      sections.push_back(Section{SectionId::kValues, n_syn, values.Take()});
+      out->AddSpan(SectionId::kValueFlags, flat.value_flags);
+      out->AddSpan(SectionId::kStringOffsets, flat.string_offsets);
+      out->AddSpan(SectionId::kStringEntries, flat.string_entries);
+      out->AddSpan(SectionId::kNumberOffsets, flat.number_offsets);
+      out->AddSpan(SectionId::kNumberEntries, flat.number_entries);
+      out->AddSpan(SectionId::kValueArena, flat.side_arena);
     }
-  }
-
-  // --- Layout: header, table, 8-byte-aligned payloads. ------------------
-  const size_t table_bytes = sections.size() * sizeof(SectionEntry);
-  uint64_t cursor = sizeof(SnapshotHeader) + table_bytes;
-  std::vector<SectionEntry> table;
-  table.reserve(sections.size());
-  for (const Section& s : sections) {
-    cursor = (cursor + 7) & ~uint64_t{7};
-    table.push_back(SectionEntry{static_cast<uint32_t>(s.id),
-                                 Crc32c(s.payload.data(), s.payload.size()),
-                                 cursor, s.payload.size(), s.count});
-    cursor += s.payload.size();
   }
 
   SnapshotHeader header{};
@@ -222,27 +276,38 @@ Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
   header.node_record_size = sizeof(NodeRecord);
   header.flags = flags;
   header.value_kinds = value_kinds;
-  header.section_count = static_cast<uint32_t>(sections.size());
-  header.file_size = cursor;
   header.content_hash = input.content_hash;
   header.content_bytes = input.content_bytes;
-  header.table_crc = Crc32c(table.data(), table_bytes);
-  header.header_crc = 0;
-  header.header_crc = Crc32c(&header, sizeof(header));
+  out->Finish(header);
+  return Status::OK();
+}
 
+}  // namespace
+
+uint64_t HashContent(std::string_view bytes) {
+  // FNV-1a, 64-bit.
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+Result<std::string> SerializeSnapshot(const SnapshotInput& input) {
+  Layout layout;
+  XQP_RETURN_NOT_OK(LayOut(input, &layout));
   std::string out;
-  out.reserve(cursor);
-  out.append(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.append(reinterpret_cast<const char*>(table.data()), table_bytes);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    out.resize(table[i].offset, '\0');  // Alignment padding.
-    out.append(sections[i].payload);
+  out.reserve(layout.size());
+  for (const Piece& p : layout.file()) {
+    out.append(static_cast<const char*>(p.data), p.size);
   }
   return out;
 }
 
 Status WriteSnapshotFile(const std::string& path, const SnapshotInput& input) {
-  XQP_ASSIGN_OR_RETURN(std::string bytes, SerializeSnapshot(input));
+  Layout layout;
+  XQP_RETURN_NOT_OK(LayOut(input, &layout));
 
   // Stage 1 of the "storage.write" site: before the temp file exists.
   if (fault::Armed()) {
@@ -263,7 +328,7 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotInput& input) {
     return st;
   };
 
-  Status written = WriteAll(fd, bytes, tmp);
+  Status written = WriteAll(fd, layout.file(), tmp);
   if (!written.ok()) return fail(std::move(written));
   // Stage 2: full payload written, not yet durable — a fault here models a
   // crash before fsync; the temp file must vanish, the target survive.

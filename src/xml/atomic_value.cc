@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 
@@ -50,22 +51,50 @@ Result<XsType> XsTypeFromName(std::string_view name) {
   return Status::StaticError("unknown atomic type: " + std::string(name));
 }
 
-Result<double> ParseXsDouble(std::string_view lexical) {
+bool TryParseXsDouble(std::string_view lexical, double* out) {
   std::string_view s = TrimXmlWhitespace(lexical);
-  if (s == "INF" || s == "+INF") return std::numeric_limits<double>::infinity();
-  if (s == "-INF") return -std::numeric_limits<double>::infinity();
-  if (s == "NaN") return std::numeric_limits<double>::quiet_NaN();
+  if (s == "INF" || s == "+INF") {
+    *out = std::numeric_limits<double>::infinity();
+    return true;
+  }
+  if (s == "-INF") {
+    *out = -std::numeric_limits<double>::infinity();
+    return true;
+  }
+  if (s == "NaN") {
+    *out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
+  if (s.empty()) return false;
+  // strtod needs a terminated copy; short forms (every number in practice)
+  // stay on the stack.
+  char small[64];
+  std::string large;
+  char* buf = small;
+  if (s.size() >= sizeof(small)) {
+    large.assign(s);
+    buf = large.data();
+  } else {
+    std::memcpy(small, s.data(), s.size());
+    small[s.size()] = '\0';
+  }
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(buf, &end);
+  if (end != buf + s.size() || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+Result<double> ParseXsDouble(std::string_view lexical) {
+  double v;
+  if (TryParseXsDouble(lexical, &v)) return v;
+  std::string_view s = TrimXmlWhitespace(lexical);
   if (s.empty()) {
     return Status::TypeError("cannot cast empty string to xs:double");
   }
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
-    return Status::TypeError("cannot cast \"" + buf + "\" to xs:double");
-  }
-  return v;
+  return Status::TypeError("cannot cast \"" + std::string(s) +
+                           "\" to xs:double");
 }
 
 Result<int64_t> ParseXsInteger(std::string_view lexical) {

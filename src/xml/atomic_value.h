@@ -117,6 +117,11 @@ class AtomicValue {
 /// Parses the lexical form of an xs:double (accepts "INF", "-INF", "NaN").
 Result<double> ParseXsDouble(std::string_view lexical);
 
+/// ParseXsDouble without the error message: false where ParseXsDouble fails,
+/// otherwise the bit-identical value in `*out`. Allocates nothing for
+/// lexical forms under 64 bytes, so bulk casts (the value index) use it.
+bool TryParseXsDouble(std::string_view lexical, double* out);
+
 /// Parses the lexical form of an xs:integer.
 Result<int64_t> ParseXsInteger(std::string_view lexical);
 

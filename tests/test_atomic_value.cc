@@ -1,6 +1,11 @@
 #include "xml/atomic_value.h"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +49,43 @@ TEST(ParseXsDouble, Forms) {
   EXPECT_FALSE(ParseXsDouble("abc").ok());
   EXPECT_FALSE(ParseXsDouble("").ok());
   EXPECT_FALSE(ParseXsDouble("1.5x").ok());
+}
+
+/// TryParseXsDouble hands strtod a terminated copy of the view — on the
+/// stack below 64 bytes, on the heap above: both must give exactly
+/// strtod's verdict and bits, including for views that are not
+/// NUL-terminated.
+TEST(ParseXsDouble, TryParseMatchesStrtod) {
+  std::mt19937 rng(20041);
+  auto digits = [&](int n) {
+    std::string s;
+    for (int i = 0; i < n; ++i) s += static_cast<char>('0' + rng() % 10);
+    return s;
+  };
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string s = rng() % 4 == 0 ? "-" : "";
+    s += digits(static_cast<int>(rng() % 12));
+    if (rng() % 3 != 0) s += "." + digits(static_cast<int>(rng() % 12));
+    if (rng() % 8 == 0) s += "e" + std::to_string(int(rng() % 40) - 20);
+    if (rng() % 16 == 0) s += "x";
+    if (rng() % 16 == 0) s += digits(70);  // Past the stack buffer.
+    errno = 0;
+    char* end = nullptr;
+    const double want = std::strtod(s.c_str(), &end);
+    const bool want_ok =
+        !s.empty() && end == s.c_str() + s.size() && errno != ERANGE;
+    // A view into a longer buffer: the parse must stop at its end.
+    const std::string padded = s + "7";
+    double got = 0;
+    const bool got_ok =
+        TryParseXsDouble(std::string_view(padded).substr(0, s.size()), &got);
+    ASSERT_EQ(got_ok, want_ok) << "'" << s << "'";
+    if (!want_ok) continue;
+    uint64_t got_bits, want_bits;
+    std::memcpy(&got_bits, &got, sizeof(got));
+    std::memcpy(&want_bits, &want, sizeof(want));
+    ASSERT_EQ(got_bits, want_bits) << "'" << s << "'";
+  }
 }
 
 TEST(ParseXsInteger, Forms) {

@@ -7,7 +7,12 @@
 
 #include "index/document_indexes.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +20,7 @@
 #include "base/fault.h"
 #include "engine.h"
 #include "index/index_planner.h"
+#include "storage/snapshot.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"
 
@@ -69,11 +75,11 @@ TEST(DocumentIndexes, EmptyDocument) {
   ASSERT_GE(r, 0);
   EXPECT_EQ(idx->postings(r).size(), 1u);
   // <r/> has empty text content, indexed as the empty string.
-  const auto* vp = idx->values(r);
-  ASSERT_NE(vp, nullptr);
+  const auto vp = idx->values(r);
+  ASSERT_TRUE(vp.has_value());
   EXPECT_TRUE(vp->indexable);
   ASSERT_EQ(vp->by_string.size(), 1u);
-  EXPECT_EQ(vp->by_string[0].first, "");
+  EXPECT_EQ(idx->StringValue(vp->by_string[0].ref), "");
 }
 
 TEST(DocumentIndexes, DuplicateLocalsInDifferentNamespacesStayDistinct) {
@@ -104,8 +110,8 @@ TEST(DocumentIndexes, ElementContentPoisonsValuePostings) {
   int32_t r = idx->FindChild(0, NodeKind::kElement, doc->FindNameId("", "r"));
   int32_t a = idx->FindChild(r, NodeKind::kElement, doc->FindNameId("", "a"));
   ASSERT_GE(a, 0);
-  const auto* vp = idx->values(a);
-  ASSERT_NE(vp, nullptr);
+  const auto vp = idx->values(a);
+  ASSERT_TRUE(vp.has_value());
   // The second <a> has an element child: the whole (path, tag) family is
   // unindexable, and the planner must fall back.
   EXPECT_FALSE(vp->indexable);
@@ -119,8 +125,8 @@ TEST(DocumentIndexes, MixedTypeValuesDisableNumericFamily) {
   int32_t r = idx->FindChild(0, NodeKind::kElement, doc->FindNameId("", "r"));
   int32_t v = idx->FindChild(r, NodeKind::kElement, doc->FindNameId("", "v"));
   ASSERT_GE(v, 0);
-  const auto* vp = idx->values(v);
-  ASSERT_NE(vp, nullptr);
+  const auto vp = idx->values(v);
+  ASSERT_TRUE(vp.has_value());
   EXPECT_TRUE(vp->indexable);
   EXPECT_FALSE(vp->all_numeric);  // "abc" does not cast to xs:double.
   EXPECT_TRUE(vp->by_number.empty());
@@ -133,6 +139,169 @@ TEST(DocumentIndexes, BuildFailsUnderFaultInjection) {
   auto idx = DocumentIndexes::Build(doc, kIndexValueAll);
   ASSERT_FALSE(idx.ok());
   EXPECT_EQ(idx.status().code(), StatusCode::kInternal);
+}
+
+// --- Value families against a brute-force reference -----------------------
+
+/// One path's value families, computed the slow way the index used to: a
+/// std::string per node (attribute value, or the element's text children
+/// concatenated), the general-comparison cast per string, and a full sort.
+struct ReferenceFamilies {
+  bool indexable = true;
+  bool all_numeric = true;
+  std::vector<std::pair<std::string, NodeIndex>> strings;
+  std::vector<std::pair<double, NodeIndex>> numbers;
+};
+
+ReferenceFamilies Reference(const Document& d,
+                            std::span<const NodeIndex> postings) {
+  ReferenceFamilies r;
+  for (NodeIndex n : postings) {
+    std::string text;
+    if (d.node(n).kind == NodeKind::kAttribute) {
+      text = d.value(n);
+    } else {
+      for (NodeIndex c = d.node(n).first_child; c != kNullNode;
+           c = d.node(c).next_sibling) {
+        if (d.node(c).kind == NodeKind::kElement) {
+          r.indexable = false;
+          return r;
+        }
+        if (d.node(c).kind == NodeKind::kText) text += d.value(c);
+      }
+    }
+    r.strings.emplace_back(std::move(text), n);
+  }
+  for (const auto& [str, n] : r.strings) {
+    auto cast = AtomicValue::Untyped(str).CastTo(XsType::kDouble);
+    if (!cast.ok()) {
+      r.all_numeric = false;
+      r.numbers.clear();
+      break;
+    }
+    r.numbers.emplace_back(cast.value().AsRawDouble(), n);
+  }
+  std::sort(r.strings.begin(), r.strings.end());
+  std::sort(r.numbers.begin(), r.numbers.end(),
+            [](const auto& a, const auto& b) {
+              const bool a_nan = std::isnan(a.first);
+              const bool b_nan = std::isnan(b.first);
+              if (a_nan != b_nan) return b_nan;
+              if (!a_nan && a.first != b.first) return a.first < b.first;
+              return a.second < b.second;
+            });
+  return r;
+}
+
+/// Every path's families of `idx` equal the reference, entry by entry
+/// (numbers bit for bit), with the families `kinds` disables left empty.
+void ExpectFamiliesMatchReference(const DocumentIndexes& idx,
+                                  uint32_t kinds) {
+  const Document& d = idx.doc();
+  for (size_t s = 1; s < idx.NumSynopsisNodes(); ++s) {
+    SCOPED_TRACE("synopsis path " + std::to_string(s));
+    const auto vp = idx.values(static_cast<int32_t>(s));
+    ASSERT_TRUE(vp.has_value());
+    const ReferenceFamilies want =
+        Reference(d, idx.postings(static_cast<int32_t>(s)));
+    EXPECT_EQ(vp->indexable, want.indexable);
+    if (!want.indexable) {
+      EXPECT_TRUE(vp->by_string.empty());
+      EXPECT_TRUE(vp->by_number.empty());
+      continue;
+    }
+    if (kinds & kIndexValueString) {
+      ASSERT_EQ(vp->by_string.size(), want.strings.size());
+      for (size_t i = 0; i < want.strings.size(); ++i) {
+        EXPECT_EQ(vp->by_string[i].node, want.strings[i].second) << i;
+        EXPECT_EQ(idx.StringValue(vp->by_string[i].ref),
+                  want.strings[i].first)
+            << i;
+      }
+    } else {
+      EXPECT_TRUE(vp->by_string.empty());
+    }
+    const bool numeric = want.all_numeric && (kinds & kIndexValueNumeric);
+    EXPECT_EQ(vp->all_numeric, numeric);
+    if (!numeric) {
+      EXPECT_TRUE(vp->by_number.empty());
+      continue;
+    }
+    ASSERT_EQ(vp->by_number.size(), want.numbers.size());
+    for (size_t i = 0; i < want.numbers.size(); ++i) {
+      uint64_t got_bits, want_bits;
+      std::memcpy(&got_bits, &vp->by_number[i].value, sizeof(got_bits));
+      std::memcpy(&want_bits, &want.numbers[i].first, sizeof(want_bits));
+      EXPECT_EQ(got_bits, want_bits) << i;
+      EXPECT_EQ(vp->by_number[i].node, want.numbers[i].second) << i;
+    }
+  }
+}
+
+/// Builds `doc`'s indexes for each family mask, checks them against the
+/// reference, and checks the indexes a snapshot round trip adopts too.
+void ExpectReferenceOrder(std::shared_ptr<const Document> doc) {
+  for (uint32_t kinds :
+       {uint32_t{kIndexValueAll}, uint32_t{kIndexValueString},
+        uint32_t{kIndexValueNumeric}}) {
+    SCOPED_TRACE("value kinds " + std::to_string(kinds));
+    XQP_ASSERT_OK_AND_ASSIGN(auto idx, DocumentIndexes::Build(doc, kinds));
+    ExpectFamiliesMatchReference(*idx, kinds);
+
+    storage::SnapshotInput input;
+    input.doc = doc.get();
+    input.indexes = idx.get();
+    XQP_ASSERT_OK_AND_ASSIGN(std::string bytes,
+                             storage::SerializeSnapshot(input));
+    XQP_ASSERT_OK_AND_ASSIGN(
+        storage::LoadedSnapshot loaded,
+        storage::OpenSnapshotBuffer(
+            std::make_shared<const std::string>(std::move(bytes))));
+    ASSERT_NE(loaded.indexes, nullptr);
+    ExpectFamiliesMatchReference(*loaded.indexes, kinds);
+  }
+}
+
+TEST(ValueFamilyOrder, XMarkMatchesReference) {
+  XMarkOptions options;
+  options.scale = 0.05;
+  XQP_ASSERT_OK_AND_ASSIGN(auto doc,
+                           Document::Parse(GenerateXMarkXml(options)));
+  ExpectReferenceOrder(std::move(doc));
+}
+
+TEST(ValueFamilyOrder, EdgeCasesMatchReference) {
+  const char* docs[] = {
+      // Empty elements next to values: "" sorts first and does not cast.
+      "<r><v/><v>3</v><v></v><v>1</v></r>",
+      // Text split by a comment or PI (side-arena values), equal to and
+      // interleaved with one-piece values.
+      "<r><v>1<!--c-->2</v><v>12</v><v>1<?pi x?>0</v><v>9</v>"
+      "<v>1<!--a-->2<!--b-->3</v></r>",
+      // Non-ASCII bytes sort after ASCII, byte-wise.
+      "<r><v>\xc3\xa9t\xc3\xa9</v><v>zebra</v><v>\xe6\x97\xa5</v>"
+      "<v>Zebra</v><v>\xc3\xa9</v><w a='\xc3\xbc'/><w a='u'/></r>",
+      // Special doubles: NaN last, -0 ties with 0 (node order), INF.
+      "<r><v>NaN</v><v>INF</v><v>-0</v><v>0</v><v>-INF</v><v>1e3</v>"
+      "<v> 7 </v><v>NaN</v><v>+5</v><v>0.1</v><v>.5</v><v>1.</v>"
+      "<v>123456789012345678</v><v>0.30000000000000004</v><v>-1.5</v>"
+      "<w a='-0'/><w a='0'/></r>",
+      // One uncastable value (here also an underflow) turns the numeric
+      // family off for its path.
+      "<r><v>1</v><v>x1</v><v>2</v><u>1e-400</u><u>1</u>"
+      "<w a='4'/><w a='2'/></r>",
+      // Element content makes a path unindexable.
+      "<r><v>1</v><v><x/>2</v></r>",
+  };
+  for (const char* xml : docs) {
+    for (bool pool : {true, false}) {
+      SCOPED_TRACE(std::string(xml) + (pool ? " pooled" : " unpooled"));
+      ParseOptions options;
+      options.pool_strings = pool;
+      XQP_ASSERT_OK_AND_ASSIGN(auto doc, Document::Parse(xml, options));
+      ExpectReferenceOrder(std::move(doc));
+    }
+  }
 }
 
 // --- Engine integration ---------------------------------------------------

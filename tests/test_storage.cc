@@ -7,6 +7,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -36,7 +37,8 @@ using storage::SnapshotHeader;
 using storage::SnapshotInput;
 
 // Namespaces, attributes, mixed content, comment, PI, CDATA, a pooled
-// repeated string, an all-numeric path, and a mixed-type path — every
+// repeated string, text split by a comment (its value goes to the index's
+// side arena), an all-numeric path, and a mixed-type path — every
 // snapshot section ends up non-trivial.
 constexpr char kXml[] =
     "<bib xmlns:p='urn:pub'>"
@@ -45,7 +47,8 @@ constexpr char kXml[] =
     "<book year='2000'><p:title>Data on the Web</p:title>"
     "<price>39.95</price><note>dup</note></book>"
     "<book year='1999'><p:title>no price</p:title><price>n/a</price>"
-    "<!--c--><?pi data?><blob><![CDATA[<raw>]]></blob></book>"
+    "<!--c--><?pi data?><blob><![CDATA[<raw>]]></blob>"
+    "<note>d<!--split-->up</note></book>"
     "</bib>";
 
 std::shared_ptr<const Document> ParseDoc(std::string_view xml = kXml) {
@@ -194,24 +197,32 @@ TEST(SnapshotRoundtrip, IndexesAreBitIdentical) {
     EXPECT_EQ(sa.kind, sb.kind) << "synopsis " << s;
     EXPECT_EQ(sa.parent, sb.parent) << "synopsis " << s;
     EXPECT_EQ(sa.children, sb.children) << "synopsis " << s;
-    EXPECT_EQ(a.postings(static_cast<int32_t>(s)),
-              b.postings(static_cast<int32_t>(s)))
+    const auto pa = a.postings(static_cast<int32_t>(s));
+    const auto pb = b.postings(static_cast<int32_t>(s));
+    EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
         << "postings " << s;
-    const auto* va = a.values(static_cast<int32_t>(s));
-    const auto* vb = b.values(static_cast<int32_t>(s));
-    ASSERT_EQ(va == nullptr, vb == nullptr);
-    if (va == nullptr) continue;
+    const auto va = a.values(static_cast<int32_t>(s));
+    const auto vb = b.values(static_cast<int32_t>(s));
+    ASSERT_EQ(va.has_value(), vb.has_value());
+    if (!va) continue;
     EXPECT_EQ(va->indexable, vb->indexable) << "values " << s;
     EXPECT_EQ(va->all_numeric, vb->all_numeric) << "values " << s;
-    EXPECT_EQ(va->by_string, vb->by_string) << "values " << s;
+    ASSERT_EQ(va->by_string.size(), vb->by_string.size());
+    for (size_t v = 0; v < va->by_string.size(); ++v) {
+      EXPECT_EQ(va->by_string[v].node, vb->by_string[v].node);
+      EXPECT_EQ(va->by_string[v].ref, vb->by_string[v].ref);
+      EXPECT_EQ(a.StringValue(va->by_string[v].ref),
+                b.StringValue(vb->by_string[v].ref))
+          << "by_string " << s << "/" << v;
+    }
     ASSERT_EQ(va->by_number.size(), vb->by_number.size());
     for (size_t v = 0; v < va->by_number.size(); ++v) {
       // Bit equality, not ==: NaN payloads must survive too.
       uint64_t da, db;
-      std::memcpy(&da, &va->by_number[v].first, 8);
-      std::memcpy(&db, &vb->by_number[v].first, 8);
+      std::memcpy(&da, &va->by_number[v].value, 8);
+      std::memcpy(&db, &vb->by_number[v].value, 8);
       EXPECT_EQ(da, db) << "by_number " << s << "/" << v;
-      EXPECT_EQ(va->by_number[v].second, vb->by_number[v].second);
+      EXPECT_EQ(va->by_number[v].node, vb->by_number[v].node);
     }
   }
   // The adopted index must serve the loaded document, not the original.
@@ -426,6 +437,145 @@ TEST(SnapshotCorruption, ForgedPostingsRejected) {
     ResealSection(&bad, off_i);
     ExpectCorrupt(std::move(bad), "CSR offset past postings payload");
   }
+  // A posting of another name, or another kind, still in document order:
+  // /bib/book/price's first posting moved onto the preceding p:title
+  // element, then onto that title's text node.
+  const DocumentIndexes& idx = *f.indexes;
+  const Document& doc = *f.doc;
+  const int32_t bib = idx.FindChild(0, NodeKind::kElement,
+                                    doc.FindNameId("", "bib"));
+  const int32_t book = idx.FindChild(bib, NodeKind::kElement,
+                                     doc.FindNameId("", "book"));
+  const int32_t price = idx.FindChild(book, NodeKind::kElement,
+                                      doc.FindNameId("", "price"));
+  ASSERT_GE(price, 0);
+  const uint64_t first = idx.flat().posting_offsets[price];
+  const NodeIndex price_node = idx.postings(price)[0];
+  const NodeIndex title_node = doc.node(price_node).parent + 2;  // @year, title
+  ASSERT_EQ(doc.name(title_node).local, "title");
+  for (NodeIndex forged : {title_node, title_node + 1}) {
+    std::string bad = good;
+    std::memcpy(bad.data() + data.offset + first * sizeof(NodeIndex), &forged,
+                sizeof(forged));
+    ResealSection(&bad, data_i);
+    ExpectCorrupt(std::move(bad), "posting of another name or kind");
+  }
+  {
+    // The first title and the first price trade rows: every node is still
+    // listed once, in document order, under the right parent path. (No
+    // value families here: they would catch the swap on their own.)
+    auto bare = DocumentIndexes::Build(f.doc, 0).value();
+    SnapshotInput input = f.input;
+    input.indexes = bare.get();
+    const std::string plain = storage::SerializeSnapshot(input).value();
+    const std::vector<SectionEntry> plain_table = ReadTable(plain);
+    const size_t plain_i = SectionIndex(plain_table, SectionId::kPostingsData);
+    const int32_t title = bare->FindChild(book, NodeKind::kElement,
+                                          doc.node(title_node).name_id);
+    ASSERT_GE(title, 0);
+    ASSERT_EQ(bare->postings(title)[0], title_node);
+    ASSERT_EQ(bare->postings(price)[0], price_node);
+    const uint64_t at = plain_table[plain_i].offset;
+    std::string bad = plain;
+    std::memcpy(bad.data() + at +
+                    bare->flat().posting_offsets[price] * sizeof(NodeIndex),
+                &title_node, sizeof(NodeIndex));
+    std::memcpy(bad.data() + at +
+                    bare->flat().posting_offsets[title] * sizeof(NodeIndex),
+                &price_node, sizeof(NodeIndex));
+    ResealSection(&bad, plain_i);
+    ExpectCorrupt(std::move(bad), "postings swapped between paths");
+  }
+}
+
+// Split text, a NaN, a string path, a value repeated on another path and a
+// path with element content — the shapes every value-family check covers.
+constexpr char kValueXml[] =
+    "<r><n>NaN</n><n>2</n><n>1</n>"
+    "<s>b</s><s>a</s><s>c<!--x-->d</s>"
+    "<t>a</t><e><x/></e></r>";
+
+TEST(SnapshotCorruption, ForgedValuePostingsRejected) {
+  Frozen f = FreezeAll(kValueXml);
+  const std::string good = storage::SerializeSnapshot(f.input).value();
+  XQP_ASSERT_OK(OpenBytes(good).status());
+  const std::vector<SectionEntry> table = ReadTable(good);
+  const DocumentIndexes& idx = *f.indexes;
+  const Document& doc = *f.doc;
+  const int32_t r = idx.FindChild(0, NodeKind::kElement, doc.FindNameId("", "r"));
+  auto path = [&](const char* name) {
+    return idx.FindChild(r, NodeKind::kElement, doc.FindNameId("", name));
+  };
+  const int32_t n = path("n");
+  const int32_t s = path("s");
+  const int32_t e = path("e");
+  ASSERT_GE(n, 0);
+  ASSERT_GE(s, 0);
+  ASSERT_GE(e, 0);
+  using Entry = DocumentIndexes::StringEntry;
+  using Number = DocumentIndexes::NumberEntry;
+  const auto strings = idx.values(s)->by_string;  // a, b, cd
+  const auto numbers = idx.values(n)->by_number;  // 1, 2, NaN
+  ASSERT_EQ(strings.size(), 3u);
+  ASSERT_EQ(numbers.size(), 3u);
+  ASSERT_GE(strings[2].ref, DocumentIndexes::kSideRefBit);  // "cd", split.
+
+  // Rewrites element `at` of section `id` (an array of T) and reseals.
+  auto forge = [&](SectionId id, uint64_t at, const auto& value,
+                   const std::string& what) {
+    const size_t i = SectionIndex(table, id);
+    std::string bad = good;
+    std::memcpy(bad.data() + table[i].offset + at * sizeof(value), &value,
+                sizeof(value));
+    ResealSection(&bad, i);
+    ExpectCorrupt(std::move(bad), what);
+  };
+  const uint64_t s0 = idx.flat().string_offsets[s];
+  const uint64_t n0 = idx.flat().number_offsets[n];
+
+  // Unsorted entries: each still pairs a node with its own value.
+  forge(SectionId::kStringEntries, s0, strings[1], "strings out of order");
+  forge(SectionId::kStringEntries, s0 + 1, strings[0],
+        "duplicate string entry");
+  // A foreign node: the <t> element, whose value is "a" too, listed on the
+  // <s> path in place of <s>a</s>.
+  const int32_t t = path("t");
+  ASSERT_GE(t, 0);
+  ASSERT_EQ(idx.values(t)->by_string[0].ref, strings[0].ref);
+  forge(SectionId::kStringEntries, s0,
+        Entry{idx.postings(t)[0], strings[0].ref}, "foreign node");
+  // A wrong value reference that keeps the row sorted: "a"'s node bound to
+  // "1" (an <n> value, which also sorts before "b").
+  const uint32_t one = idx.values(n)->by_string[0].ref;
+  ASSERT_EQ(idx.StringValue(one), "1");
+  forge(SectionId::kStringEntries, s0, Entry{strings[0].node, one},
+        "wrong value reference");
+  // A side-arena value where the node has a pooled one.
+  forge(SectionId::kStringEntries, s0,
+        Entry{strings[0].node, strings[2].ref}, "side ref for pooled value");
+  // An out-of-bounds side-arena offset.
+  forge(SectionId::kStringEntries, s0 + 2,
+        Entry{strings[2].node,
+              DocumentIndexes::kSideRefBit |
+                  static_cast<uint32_t>(idx.flat().side_arena.size() + 64)},
+        "side-arena offset out of bounds");
+  // A NaN before a number.
+  forge(SectionId::kNumberEntries, n0 + 1, numbers[2], "NaN before a number");
+  // A number that is not the node's value.
+  forge(SectionId::kNumberEntries, n0, Number{0.5, numbers[0].node, 0},
+        "wrong number");
+  // The element-content path claimed indexable.
+  forge(SectionId::kValueFlags, e,
+        uint32_t{DocumentIndexes::kIndexable | DocumentIndexes::kAllNumeric},
+        "element content claimed indexable");
+
+  // A file of the previous format, otherwise intact, is refused.
+  std::string v2 = good;
+  SnapshotHeader h = ReadHeader(v2);
+  h.version = 2;
+  std::memcpy(v2.data(), &h, sizeof(h));
+  ResealHeader(&v2);
+  ExpectCorrupt(std::move(v2), "version-2 file");
 }
 
 TEST(SnapshotCorruption, EveryStrideOfBitFlipsIsCrashFree) {
@@ -613,6 +763,15 @@ TEST(EngineSnapshot, CorruptSnapshotDegradesToReingest) {
          h.header_crc = storage::Crc32c(&h, sizeof(h));
          std::memcpy(bytes->data(), &h, sizeof(h));
        }},
+      // Version 2 stored the value index as copied strings.
+      {"version-2 header",
+       [](std::string* bytes) {
+         SnapshotHeader h = ReadHeader(*bytes);
+         h.version = 2;
+         h.header_crc = 0;
+         h.header_crc = storage::Crc32c(&h, sizeof(h));
+         std::memcpy(bytes->data(), &h, sizeof(h));
+       }},
   };
   for (const Damage& damage : damages) {
     SCOPED_TRACE(damage.what);
@@ -700,7 +859,10 @@ TEST(EngineSnapshot, SaveSnapshotThenLoadDocumentSnapshot) {
        {SectionId::kNodes, SectionId::kNames, SectionId::kPoolIndex,
         SectionId::kPoolArena, SectionId::kNsDecls, SectionId::kBaseUri,
         SectionId::kSynopsis, SectionId::kPostingsOffsets,
-        SectionId::kPostingsData, SectionId::kValues}) {
+        SectionId::kPostingsData, SectionId::kValueFlags,
+        SectionId::kStringOffsets, SectionId::kStringEntries,
+        SectionId::kNumberOffsets, SectionId::kNumberEntries,
+        SectionId::kValueArena}) {
     want.push_back(static_cast<uint32_t>(id));
   }
   EXPECT_EQ(ids, want);

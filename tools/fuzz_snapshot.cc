@@ -32,7 +32,11 @@ void TouchLoaded(const xqp::storage::LoadedSnapshot& s) {
     for (size_t p = 0; p < s.indexes->NumSynopsisNodes(); ++p) {
       const auto n = static_cast<int32_t>(p);
       sink += s.indexes->postings(n).size();
-      if (const auto* v = s.indexes->values(n)) sink += v->by_string.size();
+      if (const auto v = s.indexes->values(n)) {
+        for (const auto& e : v->by_string) {
+          sink += s.indexes->StringValue(e.ref).size();
+        }
+      }
     }
   }
   // Keep the walks observable.

@@ -26,11 +26,12 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
-echo "=== Release bench smoke (ingest, index access paths, vm, planner, value joins, navigation) ==="
+echo "=== Release bench smoke (ingest, index access paths and build, vm, planner, snapshot save/open, value joins, navigation) ==="
 # A short-min-time pass over the ingest, index, vm, and planner benchmarks
 # keeps the fast-path numbers honest on every CI run; BENCH_ingest.json /
 # BENCH_parse.json / BENCH_index.json / BENCH_vm.json / BENCH_planner.json /
-# BENCH_vm_paths.json / BENCH_vm_construct.json / BENCH_value_join.json /
+# BENCH_vm_paths.json / BENCH_vm_construct.json / BENCH_storage.json /
+# BENCH_value_join.json /
 # BENCH_nav.json land in the release build dir for the perf dashboard to
 # pick up.
 (cd "$BUILD_DIR" && \
@@ -38,7 +39,7 @@ echo "=== Release bench smoke (ingest, index access paths, vm, planner, value jo
   ./bench/bench_parse --json --benchmark_min_time=0.1 \
     --benchmark_filter='BM_Parse_ToDocument|BM_PullParser_EventsOnly' && \
   ./bench/bench_index --json --benchmark_min_time=0.1 \
-    --benchmark_filter='/100/' && \
+    --benchmark_filter='/100(/|$)' && \
   ./bench/bench_vm --json --benchmark_min_time=0.1 \
     --benchmark_filter='/10000' && \
   ./bench/bench_vm_paths --json --benchmark_min_time=0.1 && \
@@ -46,7 +47,7 @@ echo "=== Release bench smoke (ingest, index access paths, vm, planner, value jo
   ./bench/bench_planner --json --benchmark_min_time=0.1 \
     --benchmark_filter='/(1|64)$' && \
   ./bench/bench_storage --json --benchmark_min_time=0.1 \
-    --benchmark_filter='BM_ColdStart.*/50' && \
+    --benchmark_filter='(BM_ColdStart.*|BM_Snapshot_Save)/50' && \
   ./bench/bench_value_join --json --benchmark_min_time=0.05 \
     --benchmark_filter='permille:50/' && \
   ./bench/bench_nav --json --benchmark_min_time=0.05 \
