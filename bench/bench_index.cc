@@ -25,8 +25,11 @@ const char* IndexQueryText(int which) {
       return "doc('xmark.xml')//item[quantity < 2]";
     case 3:
       return "doc('xmark.xml')//person[@id = 'person0']";
-    default:
+    case 4:
       return "doc('xmark.xml')//open_auction/bidder/increase";
+    default:
+      // Multi-step target: probe buyer/@person, lift to closed_auction.
+      return "doc('xmark.xml')//closed_auction[buyer/@person = 'person0']";
   }
 }
 
@@ -64,14 +67,14 @@ void BM_IndexedExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedExecute)
     ->Args({100, 0})->Args({100, 1})->Args({100, 2})->Args({100, 3})
-    ->Args({100, 4})->Args({500, 0})->Args({500, 2});
+    ->Args({100, 4})->Args({100, 5})->Args({500, 0})->Args({500, 2});
 
 void BM_UnindexedExecute(benchmark::State& state) {
   RunQueryLoop(state, /*indexes=*/false);
 }
 BENCHMARK(BM_UnindexedExecute)
     ->Args({100, 0})->Args({100, 1})->Args({100, 2})->Args({100, 3})
-    ->Args({100, 4})->Args({500, 0})->Args({500, 2});
+    ->Args({100, 4})->Args({100, 5})->Args({500, 0})->Args({500, 2});
 
 /// Execute() with the dispatcher forced to the holistic twig join, on the
 /// linear chains (queries 0, 1, 4), caches warm: what the index answer has

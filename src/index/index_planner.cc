@@ -6,8 +6,7 @@
 #include <span>
 #include <string_view>
 #include <unordered_map>
-
-#include "base/metrics.h"
+#include <utility>
 
 namespace xqp {
 namespace {
@@ -58,6 +57,36 @@ CompOp FlipOp(CompOp op) {
   }
 }
 
+/// Parses a value predicate's compared operand into its target path: a
+/// relative chain of named child steps, optionally ending in one attribute
+/// step (a single step is the one-element chain). False for anything else —
+/// `//`, other axes, wildcards, filtered steps, a non-step anchor such as
+/// `.` or `$v`.
+bool PlanTargetPath(const Expr* e, std::vector<IndexStep>* target) {
+  std::vector<const Expr*> chain;
+  const Expr* first = FlattenChain(e, &chain);
+  chain.insert(chain.begin(), first);
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (chain[i]->kind() != ExprKind::kStep) return false;
+    const auto* step = static_cast<const StepExpr*>(chain[i]);
+    bool attribute = step->axis == Axis::kAttribute;
+    if (step->axis != Axis::kChild &&
+        !(attribute && i + 1 == chain.size())) {
+      return false;
+    }
+    if (step->test.kind != NodeTest::Kind::kName ||
+        step->test.wildcard_local || step->test.wildcard_uri) {
+      return false;
+    }
+    IndexStep st;
+    st.uri = step->test.uri;
+    st.local = step->test.local;
+    st.attribute = attribute;
+    target->push_back(std::move(st));
+  }
+  return true;
+}
+
 /// Parses one predicate expression into an IndexPredicate, or nullopt when
 /// it is outside the fragment (non-comparison, non-literal operand, boolean
 /// literal, value comparison, ...). A bare numeric literal becomes a
@@ -77,35 +106,20 @@ std::optional<IndexPredicate> PlanPredicate(const Expr* p) {
   if (!IsGeneralComp(cmp->op)) return std::nullopt;
   const Expr* a = cmp->child(0);
   const Expr* b = cmp->child(1);
-  const Expr* step_e = nullptr;
-  const Expr* lit_e = nullptr;
+  const Expr* path_e = a;
+  const Expr* lit_e = b;
   bool flipped = false;
-  if (a->kind() == ExprKind::kStep && b->kind() == ExprKind::kLiteral) {
-    step_e = a;
-    lit_e = b;
-  } else if (b->kind() == ExprKind::kStep && a->kind() == ExprKind::kLiteral) {
-    step_e = b;
-    lit_e = a;
+  if (a->kind() == ExprKind::kLiteral) {
+    std::swap(path_e, lit_e);
     flipped = true;
-  } else {
-    return std::nullopt;
   }
-  const auto* step = static_cast<const StepExpr*>(step_e);
-  if (step->axis != Axis::kChild && step->axis != Axis::kAttribute) {
-    return std::nullopt;
-  }
-  if (step->test.kind != NodeTest::Kind::kName || step->test.wildcard_local ||
-      step->test.wildcard_uri) {
-    return std::nullopt;
-  }
+  if (lit_e->kind() != ExprKind::kLiteral) return std::nullopt;
   const AtomicValue& v = static_cast<const LiteralExpr*>(lit_e)->value;
   // Boolean (and exotic) operands take the untyped-vs-boolean cast route;
   // leave those to normal evaluation.
   if (!v.IsNumeric() && !v.IsStringLike()) return std::nullopt;
   IndexPredicate pred;
-  pred.target.uri = step->test.uri;
-  pred.target.local = step->test.local;
-  pred.target.attribute = step->axis == Axis::kAttribute;
+  if (!PlanTargetPath(path_e, &pred.target)) return std::nullopt;
   pred.op = flipped ? FlipOp(cmp->op) : cmp->op;
   pred.operand = v;
   return pred;
@@ -250,25 +264,18 @@ MatchRanges NumberRanges(std::span<const DocumentIndexes::NumberEntry> v,
 /// Resolves the value predicate's target paths under a synopsis frontier
 /// and calls `fn(family, ranges)` with each target path's family and the
 /// ranges matching `pred`. False when the value index cannot prove the
-/// predicate (fall back); a target name absent from the document visits
+/// predicate (fall back); a target path absent from the document visits
 /// nothing.
 template <typename Fn>
 bool ForEachPredicateMatch(const DocumentIndexes& idx,
                            const std::vector<int32_t>& frontier,
                            const IndexPredicate& pred, Fn fn) {
-  const Document& doc = idx.doc();
   bool numeric = pred.operand.IsNumeric();
   if (numeric && !(idx.value_kinds() & kIndexValueNumeric)) return false;
   if (!numeric && !(idx.value_kinds() & kIndexValueString)) return false;
-  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
-  if (tname == kNoName) return true;  // Never satisfied.
-  NodeKind tkind =
-      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
   std::string sval = numeric ? std::string() : pred.operand.AsString();
   double dval = numeric ? pred.operand.NumericAsDouble() : 0.0;
-  for (int32_t s : frontier) {
-    int32_t t = idx.FindChild(s, tkind, tname);
-    if (t < 0) continue;
+  for (int32_t t : ResolveTargetPaths(idx, frontier, pred.target)) {
     std::optional<DocumentIndexes::ValuePostings> vp = idx.values(t);
     if (!vp || !vp->indexable) return false;
     if (numeric) {
@@ -285,20 +292,25 @@ bool ForEachPredicateMatch(const DocumentIndexes& idx,
 }
 
 /// Applies the value predicate over a synopsis frontier: range-scans the
-/// target paths' value postings, then maps matched targets to their parent
-/// elements (the filtered step's nodes). nullopt = the value index cannot
-/// prove this predicate; fall back.
+/// target paths' value postings, then lifts each matched target
+/// target.size() parents up to the filtered step's node it qualifies (each
+/// target step is one child or attribute level). nullopt = the value index
+/// cannot prove this predicate; fall back.
 std::optional<std::vector<NodeIndex>> ApplyPredicate(
     const DocumentIndexes& idx, const std::vector<int32_t>& frontier,
     const IndexPredicate& pred) {
   const Document& doc = idx.doc();
-  // Existential semantics: a base qualifies when any target child matched.
+  const size_t depth = pred.target.size();
+  // Existential semantics: a base qualifies when any target below it
+  // matched; several matched targets lifting to one base dedup below.
   std::vector<NodeIndex> bases;
   bool provable = ForEachPredicateMatch(
       idx, frontier, pred, [&](auto family, const MatchRanges& m) {
         for (int i = 0; i < 2; ++i) {
           for (size_t k = m.begin[i]; k < m.end[i]; ++k) {
-            bases.push_back(doc.node(family[k].node).parent);
+            NodeIndex n = family[k].node;
+            for (size_t d = 0; d < depth; ++d) n = doc.node(n).parent;
+            bases.push_back(n);
           }
         }
       });
@@ -515,59 +527,33 @@ std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
   return MergedPostings(idx, frontier);
 }
 
-Result<std::optional<Sequence>> TryAnswerPathFromIndex(const PathExpr* e,
-                                                       DynamicContext* ctx) {
-  static metrics::Counter* synopsis_hits =
-      metrics::MetricsRegistry::Global().counter("index.synopsis_hits");
-  static metrics::Counter* value_hits =
-      metrics::MetricsRegistry::Global().counter("index.value_hits");
-  static metrics::Counter* fallbacks =
-      metrics::MetricsRegistry::Global().counter("index.fallbacks");
-  std::optional<Sequence> declined;
-  if (ctx == nullptr || ctx->provider == nullptr) return declined;
-  std::optional<IndexQuery> plan = PlanIndexPath(*e);
-  if (!plan.has_value()) {
-    if (metrics::Enabled()) fallbacks->Add(1);
-    return declined;
-  }
-  auto indexes_r = ctx->provider->GetDocumentIndexes(plan->doc_uri);
-  if (!indexes_r.ok()) {
-    // A missing document falls back so normal evaluation raises the
-    // canonical fn:doc error; resource trips and injected faults during a
-    // governed index build must surface as this query's failure.
-    if (indexes_r.status().code() == StatusCode::kDynamicError) {
-      if (metrics::Enabled()) fallbacks->Add(1);
-      return declined;
-    }
-    return indexes_r.status();
-  }
-  std::shared_ptr<const DocumentIndexes> indexes = indexes_r.value();
-  if (indexes == nullptr) return declined;  // Indexes disabled.
-  std::optional<std::vector<NodeIndex>> nodes =
-      AnswerIndexQuery(*indexes, *plan);
-  if (!nodes.has_value()) {
-    if (metrics::Enabled()) fallbacks->Add(1);
-    return declined;
-  }
-  if (metrics::Enabled()) {
-    (plan->HasPredicates() ? value_hits : synopsis_hits)->Add(1);
-  }
-  Sequence out;
-  out.reserve(nodes->size());
-  for (NodeIndex n : *nodes) {
-    out.push_back(Item(Node(indexes->doc_ptr(), n)));
-  }
-  if (ctx->governor != nullptr) {
-    XQP_RETURN_NOT_OK(ctx->governor->Poll());
-    XQP_RETURN_NOT_OK(ctx->governor->ChargeBytes(out.size() * sizeof(Item)));
-  }
-  return std::optional<Sequence>(std::move(out));
-}
-
 std::vector<int32_t> ResolveSynopsisStep(const DocumentIndexes& idx,
                                          const std::vector<int32_t>& frontier,
                                          const IndexStep& st) {
   return ResolveStep(idx, frontier, st, idx.doc().FindNameId(st.uri, st.local));
+}
+
+std::vector<int32_t> ResolveTargetPaths(const DocumentIndexes& idx,
+                                        const std::vector<int32_t>& frontier,
+                                        const std::vector<IndexStep>& target) {
+  const Document& doc = idx.doc();
+  std::vector<uint32_t> names;
+  names.reserve(target.size());
+  for (const IndexStep& st : target) {
+    names.push_back(doc.FindNameId(st.uri, st.local));
+    if (names.back() == kNoName) return {};  // Never reached.
+  }
+  std::vector<int32_t> out;
+  for (int32_t s : frontier) {
+    int32_t t = s;
+    for (size_t i = 0; i < target.size() && t >= 0; ++i) {
+      t = idx.FindChild(
+          t, target[i].attribute ? NodeKind::kAttribute : NodeKind::kElement,
+          names[i]);
+    }
+    if (t >= 0) out.push_back(t);
+  }
+  return out;
 }
 
 size_t CountSynopsisPostings(const DocumentIndexes& idx,

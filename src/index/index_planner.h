@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/dynamic_context.h"
 #include "index/document_indexes.h"
 #include "query/expr.h"
 
@@ -29,12 +28,17 @@ struct IndexPredicate {
   size_t step = 0;
   /// True for a positional predicate `[n]` (numeric literal): the operand
   /// is the position, matched per context node — i.e. the n-th qualifying
-  /// step node among those sharing a parent. The target step is unused.
+  /// step node among those sharing a parent. The target is empty.
   bool positional = false;
-  /// The compared step: a child element or attribute of the filtered step.
-  IndexStep target;
+  /// The compared relative path from the filtered step's node: named
+  /// child-element steps, optionally ending in one attribute step
+  /// (`quantity`, `@id`, `bidder/increase`, `buyer/@person`). No `//`, no
+  /// wildcards, no nested filters, so every step descends exactly one level
+  /// and a matched target lies target.size() levels below the node it
+  /// qualifies. Empty for a positional predicate.
+  std::vector<IndexStep> target;
   /// Normalized so the node side is on the left (flipped when the query
-  /// wrote `literal op step`). Always a general-comparison op.
+  /// wrote `literal op path`). Always a general-comparison op.
   CompOp op = CompOp::kGenEq;
   /// The literal operand; string-like or numeric.
   AtomicValue operand;
@@ -57,10 +61,13 @@ struct IndexQuery {
 };
 
 /// Recognizes the index-answerable fragment, mirroring (and extending with
-/// the attribute axis and one value predicate) TwigPlanner's convertibility
-/// rules. Purely structural — no document needed — so the rewriter uses it
-/// to mark PathExpr::index_candidate and EXPLAIN re-derives it to print the
-/// access path.
+/// the attribute axis and value predicates) TwigPlanner's convertibility
+/// rules. A value predicate compares a literal with a target path of named
+/// child steps, optionally ending in an attribute step (`[@id = 'p0']`,
+/// `['x' = b/c]`, `[buyer/@person = 'p3']`; see IndexPredicate::target).
+/// Purely structural — no document needed — so the rewriter uses it to mark
+/// PathExpr::index_candidate and EXPLAIN re-derives it to print the access
+/// path.
 std::optional<IndexQuery> PlanIndexPath(const Expr& e);
 
 /// Answers `q` from the synopsis / value index. nullopt means the index
@@ -71,21 +78,22 @@ std::optional<IndexQuery> PlanIndexPath(const Expr& e);
 std::optional<std::vector<NodeIndex>> AnswerIndexQuery(
     const DocumentIndexes& idx, const IndexQuery& q);
 
-/// Execution hook shared by the lazy iterator tree and the eager
-/// interpreter: plans `e`, fetches the document's indexes through
-/// ctx->provider, and answers. Returns nullopt (not an error) whenever any
-/// stage declines, so the fallback plan reproduces today's results and
-/// errors bit-identically; resource errors from a governed index build are
-/// propagated. Charges the materialized buffer to ctx->governor.
-Result<std::optional<Sequence>> TryAnswerPathFromIndex(const PathExpr* e,
-                                                       DynamicContext* ctx);
-
 /// Advances a synopsis frontier (sorted, duplicate-free synopsis-node set)
 /// across one chain step. Exported for the cost model (opt/cost.h), which
 /// resolves chains exactly the way AnswerIndexQuery does.
 std::vector<int32_t> ResolveSynopsisStep(const DocumentIndexes& idx,
                                          const std::vector<int32_t>& frontier,
                                          const IndexStep& st);
+
+/// The synopsis nodes a predicate's target path reaches from the frontier's
+/// nodes, one FindChild per step; frontier nodes the path does not occur
+/// under contribute nothing, and so does a name absent from the document.
+/// Each frontier node reaches at most one target (a synopsis path is
+/// unique), and distinct frontier nodes reach distinct ones. Shared by the
+/// index answer and the cost model's selectivity estimates.
+std::vector<int32_t> ResolveTargetPaths(const DocumentIndexes& idx,
+                                        const std::vector<int32_t>& frontier,
+                                        const std::vector<IndexStep>& target);
 
 /// Total posting count of a synopsis set — the exact number of document
 /// nodes on those paths (lists are pairwise disjoint).

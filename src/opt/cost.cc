@@ -63,19 +63,14 @@ std::optional<double> HistogramSelectivity(const DocumentIndexes& idx,
                                            const std::vector<int32_t>& frontier,
                                            const IndexPredicate& pred) {
   if (pred.positional || !pred.operand.IsNumeric()) return std::nullopt;
-  const Document& doc = idx.doc();
-  uint32_t tname = doc.FindNameId(pred.target.uri, pred.target.local);
-  if (tname == kNoName) return 0.0;  // Never satisfied.
-  NodeKind tkind =
-      pred.target.attribute ? NodeKind::kAttribute : NodeKind::kElement;
+  std::vector<int32_t> targets = ResolveTargetPaths(idx, frontier, pred.target);
+  if (targets.empty()) return 0.0;  // Never satisfied.
 
   std::vector<double> vals;
   size_t population = 0;
   bool any_family = false;
   std::string buf;  // strtod needs a terminated copy of each value.
-  for (int32_t s : frontier) {
-    int32_t t = idx.FindChild(s, tkind, tname);
-    if (t < 0) continue;
+  for (int32_t t : targets) {
     std::optional<DocumentIndexes::ValuePostings> vp = idx.values(t);
     if (!vp) continue;
     if (!vp->by_number.empty()) {

@@ -379,7 +379,7 @@ class PathExpr : public Expr {
   bool needs_dedup = true;
   /// Set by the index-marking rule (opt/rules_path.cc) when this path is in
   /// the index-answerable fragment (doc('uri')-anchored named-step chain,
-  /// at most one value predicate — see index/index_planner.h). Execution
+  /// value predicates on one step — see index/index_planner.h). Execution
   /// then offers the path to the document's synopsis / value index first
   /// and falls back to normal evaluation when the index declines.
   bool index_candidate = false;

@@ -163,23 +163,45 @@ std::string RandomXMarkQuery(SplitMix64* rng) {
   // Value predicates over typed XMark content — the shapes the value index
   // answers (index/index_planner.h), so indexed and unindexed plans get
   // cross-checked on numeric ranges, attribute equality, and string
-  // comparisons alike.
-  auto value_pred = [&]() -> std::string {
-    switch (rng->Below(5)) {
+  // comparisons alike, over one-step and multi-step targets (the latter
+  // probe the target path and lift each hit to the filtered step). Each
+  // comes with the element it naturally filters.
+  struct ValuePred {
+    std::string base;
+    std::string pred;
+  };
+  auto value_pred = [&]() -> ValuePred {
+    switch (rng->Below(8)) {
       case 0:
-        return "[quantity < " + std::to_string(1 + rng->Below(6)) + "]";
+        return {"item", "[quantity < " + std::to_string(1 + rng->Below(6)) +
+                            "]"};
       case 1:
-        return "[quantity = " + std::to_string(1 + rng->Below(6)) + "]";
+        return {"item", "[quantity = " + std::to_string(1 + rng->Below(6)) +
+                            "]"};
       case 2:
-        return "[@id = 'person" + std::to_string(rng->Below(40)) + "']";
+        return {"person",
+                "[@id = 'person" + std::to_string(rng->Below(40)) + "']"};
       case 3:
-        return "[price >= " + std::to_string(10 * rng->Below(12)) + "]";
+        return {"item", "[price >= " + std::to_string(10 * rng->Below(12)) +
+                            "]"};
+      case 4:
+        return {"closed_auction", "[buyer/@person = 'person" +
+                                      std::to_string(rng->Below(80)) + "']"};
+      case 5:
+        return {"open_auction", "[bidder/increase > " +
+                                    std::to_string(rng->Below(16)) + "]"};
+      case 6:
+        return {"person", "[profile/@income >= " +
+                              std::to_string(10000 * rng->Below(10)) + "]"};
       default:
-        return "[date != '01/01/2000']";
+        return {"item", "[date != '01/01/2000']"};
     }
   };
   auto step = [&](bool first) -> std::string {
-    switch (rng->Below(10)) {
+    // At least a quarter of the paths start at a value predicate's own
+    // element, so its hits reach the later steps instead of an unrelated
+    // empty context.
+    switch (first && rng->Below(4) == 0 ? 5 : rng->Below(10)) {
       case 0:
         return "//" + tag();
       case 1:
@@ -190,10 +212,12 @@ std::string RandomXMarkQuery(SplitMix64* rng) {
         return "//" + tag() + "[" + tag() + "]";
       case 4:
         return first ? "//" + tag() : "/*";
-      case 5:
-        return "//item" + value_pred();
+      case 5: {
+        ValuePred vp = value_pred();
+        return "//" + vp.base + vp.pred;
+      }
       case 6:
-        return "//" + tag() + value_pred();
+        return "//" + tag() + value_pred().pred;
       case 7:
         // Pure child segments lower to the vm's kNavStep fast path.
         return (first ? "/site/" : "/") + tag();

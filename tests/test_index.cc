@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "base/fault.h"
+#include "base/metrics.h"
 #include "engine.h"
 #include "index/index_planner.h"
 #include "storage/snapshot.h"
@@ -407,6 +408,125 @@ TEST(EngineIndex, ValueKindsKnobLimitsFamilies) {
   EXPECT_EQ(RunOn(engine, "count(doc('d.xml')/r/a[. = 2])"), "1");
   // Pure paths remain synopsis-answerable.
   EXPECT_EQ(RunOn(engine, "count(doc('d.xml')/r/a)"), "2");
+}
+
+// --- Multi-step predicate targets -----------------------------------------
+
+/// Result (or error) of `query` on every backend, plus the index counters
+/// the runs moved.
+struct BackendRuns {
+  std::vector<std::string> results;  // lazy, eager, vm.
+  uint64_t value_hits = 0;
+  uint64_t fallbacks = 0;
+};
+
+BackendRuns RunAllBackends(XQueryEngine& engine, const std::string& query) {
+  auto& registry = metrics::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const metrics::MetricsSnapshot before = registry.Snapshot();
+  BackendRuns runs;
+  auto compiled = engine.Compile(query);
+  EXPECT_TRUE(compiled.ok()) << query << ": "
+                             << compiled.status().ToString();
+  for (ExecBackend backend :
+       {ExecBackend::kLazy, ExecBackend::kEager, ExecBackend::kVm}) {
+    if (!compiled.ok()) break;
+    CompiledQuery::ExecOptions exec;
+    exec.backend = backend;
+    auto result = compiled.value()->ExecuteToXml(exec);
+    runs.results.push_back(result.ok()
+                               ? result.value()
+                               : "ERROR: " + result.status().ToString());
+  }
+  metrics::MetricsSnapshot delta = registry.Snapshot().Delta(before);
+  registry.set_enabled(was_enabled);
+  runs.value_hits = delta.counters["index.value_hits"];
+  runs.fallbacks = delta.counters["index.fallbacks"];
+  return runs;
+}
+
+/// Runs `query` on an indexed and an unindexed engine over `xml` and
+/// expects every backend of the indexed one to reproduce the unindexed
+/// lazy result or error. Returns the indexed engine's runs.
+BackendRuns ExpectBackendsMatchPlain(const std::string& xml,
+                                     const std::string& query,
+                                     const EngineOptions& options = {}) {
+  XQueryEngine indexed(options);
+  EngineOptions plain_options;
+  plain_options.enable_indexes = false;
+  XQueryEngine plain(plain_options);
+  EXPECT_TRUE(indexed.ParseAndRegister("doc.xml", xml).ok());
+  EXPECT_TRUE(plain.ParseAndRegister("doc.xml", xml).ok());
+  const std::string want = RunAllBackends(plain, query).results.at(0);
+  BackendRuns runs = RunAllBackends(indexed, query);
+  for (const std::string& got : runs.results) EXPECT_EQ(got, want) << query;
+  return runs;
+}
+
+TEST(EngineIndex, MultiStepTargetAnsweredByValueIndex) {
+  // The serve workload's buyer read: probe buyer/@person, lift two levels.
+  const std::string xml = XMarkXml();
+  for (const char* person : {"person27", "person3"}) {
+    SCOPED_TRACE(person);
+    BackendRuns runs = ExpectBackendsMatchPlain(
+        xml,
+        std::string("count(doc('doc.xml')/site/closed_auctions/"
+                    "closed_auction[buyer/@person = \"") +
+            person + "\"])");
+    EXPECT_GE(runs.value_hits, 1u);
+    EXPECT_EQ(runs.fallbacks, 0u);
+  }
+}
+
+TEST(EngineIndex, MultiStepUncastableValueRaisesLikeNavigation) {
+  // One `c` is not a number: the numeric family is off for a/b/c, the
+  // index declines, and navigation raises FORG0001 (a failed cast) on
+  // every backend.
+  const std::string xml =
+      "<r><a><b><c>1</c></b></a><a><b><c>x</c></b></a>"
+      "<a><b><c>7</c></b></a></r>";
+  BackendRuns runs =
+      ExpectBackendsMatchPlain(xml, "doc('doc.xml')/r/a[b/c > 0]");
+  for (const std::string& got : runs.results) {
+    EXPECT_NE(got.find("Type error: cannot cast \"x\" to xs:double"),
+              std::string::npos)
+        << got;
+  }
+  EXPECT_EQ(runs.value_hits, 0u);
+  // The string family over the same path still answers.
+  runs = ExpectBackendsMatchPlain(xml, "doc('doc.xml')/r/a[b/c = 'x']");
+  EXPECT_EQ(runs.results.at(0), "<a><b><c>x</c></b></a>");
+  EXPECT_GE(runs.value_hits, 1u);
+}
+
+TEST(EngineIndex, MultiStepElementContentDeclinesAndAgrees) {
+  // The second `c` has element content: its path is unindexable, yet its
+  // string value "1" still satisfies the predicate under navigation.
+  const std::string xml =
+      "<r><a><b><c>1</c></b></a><a><b><c><d/>1</c></b></a>"
+      "<a><b><c>2</c></b></a></r>";
+  BackendRuns runs =
+      ExpectBackendsMatchPlain(xml, "count(doc('doc.xml')/r/a[b/c = '1'])");
+  EXPECT_EQ(runs.results.at(0), "2");
+  EXPECT_EQ(runs.value_hits, 0u);
+}
+
+TEST(EngineIndex, MultiStepDisabledFamilyDeclinesAndAgrees) {
+  const std::string xml = XMarkXml();
+  for (uint32_t kinds : {0u, uint32_t{kIndexValueString},
+                         uint32_t{kIndexValueNumeric}}) {
+    SCOPED_TRACE(kinds);
+    EngineOptions options;
+    options.index_value_kinds = kinds;
+    BackendRuns runs = ExpectBackendsMatchPlain(
+        xml,
+        "count(doc('doc.xml')//closed_auction[buyer/@person = 'person27']),"
+        "count(doc('doc.xml')//open_auction[bidder/increase > 10])",
+        options);
+    // Each family answers only its own operand kind.
+    EXPECT_EQ(runs.value_hits, kinds == 0 ? 0u : 3u);
+  }
 }
 
 // --- Forced twig through the access-path dispatcher ------------------------

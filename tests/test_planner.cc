@@ -172,6 +172,20 @@ TEST(PlanEquivalence, XMarkShapes) {
           "doc('xmark.xml')//item[location = 'United States'"
           " and quantity = 1]/name",
           "doc('xmark.xml')//nonexistent_tag",
+          // Multi-step predicate targets: probe the target path's value
+          // family, lift each hit to the filtered step.
+          "doc('xmark.xml')//closed_auction[buyer/@person = 'person3']",
+          "doc('xmark.xml')//closed_auction[buyer/@person = 'person27']",
+          "doc('xmark.xml')/site/closed_auctions/closed_auction"
+          "['person27' = buyer/@person]",
+          "doc('xmark.xml')//open_auction[bidder/increase > 10]",
+          "doc('xmark.xml')//open_auction[bidder/increase = 4.5]",
+          "doc('xmark.xml')//person[profile/@income >= 50000]",
+          "doc('xmark.xml')//person[profile/@income >= 50000"
+          " and @id != 'person1']",
+          "doc('xmark.xml')//open_auction[bidder/increase > 10]/seller/@person",
+          "doc('xmark.xml')//closed_auction[nosuch/@person = 'person27']",
+          "doc('xmark.xml')//closed_auction[buyer/nosuch = 'person27']",
       });
 }
 
@@ -186,6 +200,13 @@ TEST(PlanEquivalence, RandomCorpora) {
       "doc('r.xml')//a/b[2]",
       "doc('r.xml')//d[@k = '1']/a",
       "doc('r.xml')//a[@k = '2'][b]",
+      "doc('r.xml')//a[b/@k = '2']",
+      "doc('r.xml')//a[b/c/@k > 4]",
+      "doc('r.xml')//a['t7' = b/c]",
+      "doc('r.xml')//b[c/@k = '1' and @k != '3']",
+      "doc('r.xml')//a[d/@k >= 5][c = 't3']",
+      "doc('r.xml')//a[b/@k = '2']/c",
+      "doc('r.xml')//a[e/@k = '2']",
   };
   for (uint64_t seed : {7u, 21u, 443u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));

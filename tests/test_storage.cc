@@ -143,6 +143,87 @@ void ExpectCorrupt(std::string bytes, const std::string& what) {
 
 // --- roundtrip fidelity -----------------------------------------------------
 
+// --- CRC32C --------------------------------------------------------------
+
+TEST(Crc32c, KnownAnswers) {
+  // RFC 3720 appendix B.4.
+  std::string zeros(32, '\0');
+  std::string ones(32, '\xff');
+  std::string up(32, '\0');
+  std::string down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  for (bool portable : {false, true}) {
+    SCOPED_TRACE(portable ? "portable" : storage::Crc32cImplName());
+    auto crc = [portable](const std::string& s) {
+      return portable ? storage::Crc32cExtendPortable(0, s.data(), s.size())
+                      : storage::Crc32c(s.data(), s.size());
+    };
+    EXPECT_EQ(crc(zeros), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones), 0x62A8AB43u);
+    EXPECT_EQ(crc(up), 0x46DD794Eu);
+    EXPECT_EQ(crc(down), 0x113FDB5Cu);
+    EXPECT_EQ(crc("123456789"), 0xE3069283u);
+    EXPECT_EQ(crc(""), 0u);
+  }
+}
+
+/// Deterministic pseudo-random bytes.
+std::string RandomBytes(size_t n, uint64_t seed) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    seed = seed * 6364136223846793005u + 1442695040888963407u;
+    c = static_cast<char>(seed >> 56);
+  }
+  return out;
+}
+
+TEST(Crc32c, DispatchedMatchesPortable) {
+  // Every length up to 4096 at every start offset mod 8 covers the serial
+  // tail and the short-block three-stream kernel; a few larger lengths
+  // cover the long blocks and their transitions.
+  const std::string buf = RandomBytes(4096 + 8, 1);
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const char* p = buf.data() + off;
+      ASSERT_EQ(storage::Crc32c(p, len),
+                storage::Crc32cExtendPortable(0, p, len))
+          << "off=" << off << " len=" << len;
+    }
+  }
+  const std::string big = RandomBytes(6 * 8192 + 3 * 256 + 29, 2);
+  for (size_t len : {size_t{3 * 8192 - 1}, size_t{3 * 8192},
+                     size_t{3 * 8192 + 3 * 256 + 7}, big.size() - 3,
+                     big.size()}) {
+    for (size_t off : {size_t{0}, size_t{3}}) {
+      if (off + len > big.size()) continue;
+      const char* p = big.data() + off;
+      EXPECT_EQ(storage::Crc32c(p, len),
+                storage::Crc32cExtendPortable(0, p, len))
+          << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32c, ExtendAtEverySplitMatchesOneShot) {
+  const std::string buf = RandomBytes(4096, 3);
+  const uint32_t whole = storage::Crc32c(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    uint32_t crc = storage::Crc32cExtend(0, buf.data(), split);
+    crc = storage::Crc32cExtend(crc, buf.data() + split, buf.size() - split);
+    ASSERT_EQ(crc, whole) << "split=" << split;
+  }
+  const std::string big = RandomBytes(7 * 8192 + 100, 4);
+  const uint32_t big_whole = storage::Crc32c(big.data(), big.size());
+  for (size_t split = 0; split <= big.size(); split += 997) {
+    uint32_t crc = storage::Crc32cExtend(0, big.data(), split);
+    crc = storage::Crc32cExtend(crc, big.data() + split, big.size() - split);
+    ASSERT_EQ(crc, big_whole) << "split=" << split;
+  }
+}
+
 TEST(SnapshotRoundtrip, DocumentIsBitIdentical) {
   Frozen f = FreezeAll();
   std::string bytes = storage::SerializeSnapshot(f.input).value();

@@ -335,19 +335,28 @@ TEST(VmPaths, PredicateChainCompilesToIndexProbe) {
   EXPECT_EQ(RunCompiledPath(engine, "count(doc('doc.xml')/r/a[b = 'y'])"),
             "1");
 
+  // Multi-step targets probe the target path and lift to the filtered
+  // step.
+  EXPECT_EQ(RunCompiledPath(engine, "count(doc('doc.xml')/r[a/@id = '2'])"),
+            "1");
+  EXPECT_EQ(RunCompiledPath(engine, "doc('doc.xml')/r[a/c = 'z']/b"),
+            "<b>top</b>");
+
   // Compiler shape: the predicate chain's program carries a probe opcode.
-  auto compiled = engine.Compile("doc('doc.xml')/r/a[@id = '2']");
-  XQP_ASSERT_OK(compiled.status());
-  XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<const vm::Program> program,
-                           vm::CompileProgram(compiled.value()->module()));
-  bool has_probe = false;
-  for (const vm::Insn& insn : program->code) {
-    if (insn.op == vm::Op::kIndexProbe || insn.op == vm::Op::kAccessExec) {
-      has_probe = true;
+  for (const char* query : {"doc('doc.xml')/r/a[@id = '2']",
+                            "doc('doc.xml')/r[a/@id = '2']"}) {
+    SCOPED_TRACE(query);
+    auto compiled = engine.Compile(query);
+    XQP_ASSERT_OK(compiled.status());
+    XQP_ASSERT_OK_AND_ASSIGN(std::shared_ptr<const vm::Program> program,
+                             vm::CompileProgram(compiled.value()->module()));
+    bool has_probe = false;
+    for (const vm::Insn& insn : program->code) {
+      if (insn.op == vm::Op::kIndexProbe) has_probe = true;
     }
+    EXPECT_TRUE(has_probe);
+    EXPECT_FALSE(program->trivial_bailout);
   }
-  EXPECT_TRUE(has_probe);
-  EXPECT_FALSE(program->trivial_bailout);
 }
 
 TEST(VmPaths, FilteredChainStillCompiles) {
